@@ -14,21 +14,26 @@ Two oracles, deliberately different from the closed-form route:
         psi^{n+1} = (1 - i w dt/2) / (1 + i w dt/2) psi^n   per mode,
 
     an implicit, unconditionally stable, norm-preserving (unitary to
-    round-off) scheme that is second order in dt.  The per-mode phase
-    error (w dt)**2/12 per step dominates the error budget, giving the
-    clean dt**2 convergence the validation tests probe.
+    round-off) scheme that is second order in dt.  The n-step product is
+    applied in its exact closed form exp(-2i n atan(w dt/2)), so a run
+    costs two transforms whatever the step count; the norm is checked in
+    real space after the inverse transform.  The per-mode phase error
+    (w dt)**2/12 per step dominates the error budget, giving the clean
+    dt**2 convergence the validation tests probe.
 
 ``evolve_quadrature``
     Direct panel quadrature of the superposition integral over the
     truncated initial support [-W, 0] with the free or moving-wall
     propagator.  Panels are sized so the integrand phase varies at most
-    pi/4 per panel (Gauss-Legendre, 8 nodes).  The discarded tail
-    (-inf, -W] of the semi-infinite beam decays only algebraically (a
-    hard-edge diffraction tail ~ 1/distance), far too slowly for simple
-    truncation at any feasible W, so the tail is completed by the exact
-    integration-by-parts series of the non-stationary oscillatory
-    integral; the first neglected term is reported as the truncation
-    estimate.
+    pi/4 per panel (Gauss-Legendre, 8 nodes).  The propagator is factored
+    into a row phase, a real trigonometric matrix of 2 alpha x x' and a
+    column phase, so the panel sum is one real matrix product per chunk
+    of points.  The discarded tail (-inf, -W] of the semi-infinite beam
+    decays only algebraically (a hard-edge diffraction tail ~ 1/distance),
+    far too slowly for simple truncation at any feasible W, so the tail is
+    completed by the exact integration-by-parts series of the
+    non-stationary oscillatory integral; the first neglected term is
+    reported as the truncation estimate.
 
 The ``OracleConfig`` guards keep both oracles honest: the domain must be
 deep enough that the artificial left edge cannot influence the
@@ -160,13 +165,7 @@ def default_config(scenario: Scenario, comparison_window: tuple | None = None) -
         else:
             comparison_window = (-v_k * t, 1.05 * v_k * t)
     x_lo, x_hi = comparison_window
-    # the artificial far edge sheds an algebraically decaying wave (the
-    # initial state's curvature jump there); five ballistic reaches keep
-    # its residue well below the 1e-3 comparison scale
-    big_l = abs(x_lo) + 5.0 * (v_k + abs(v)) * t + 40.0 * spread
     beta = abs(ctx.wavenumber(v))
-    k_occ = scenario.k + beta + 10.0 / spread
-    n = 1 << max(int(big_l * 6.0 * k_occ / np.pi).bit_length(), 10)
     omega = ctx.hbar * (scenario.k + beta) ** 2 / (2.0 * ctx.mass)
     # Crank-Nicolson phase budget: the fastest modes belong to the
     # counter-propagating component, whose amplitude inside the window
@@ -181,6 +180,18 @@ def default_config(scenario: Scenario, comparison_window: tuple | None = None) -
     phase_budget = min(5e-3, max(2.5e-4, 1e-3 / (4.0 * amp_fast)))
     dt_budget = math.sqrt(12.0 * phase_budget / (t * omega**3)) if omega > 0 else t
     dt = min(dt_budget, 0.05 / _occupied_omega(scenario, v), t)
+    # the artificial far edge sheds an algebraically decaying wave (the
+    # initial state's curvature jump there); five ballistic reaches keep
+    # its residue well below the 1e-3 comparison scale.  Its high-q part
+    # travels at the Crank-Nicolson group velocity, which peaks at
+    # 3**0.75 / 2 * sqrt(hbar / (m dt)) and piles up into a caustic front
+    # there; the domain must also keep that front out of the window.
+    dt_run = t / math.ceil(t / dt)
+    v_front = 0.5 * 3.0**0.75 * math.sqrt(ctx.hbar / (ctx.mass * dt_run))
+    reach = max(5.0 * (v_k + abs(v)), abs(v) + v_front) * t
+    big_l = abs(x_lo) + reach + 40.0 * spread
+    k_occ = scenario.k + beta + 10.0 / spread
+    n = 1 << max(int(big_l * 6.0 * k_occ / np.pi).bit_length(), 10)
     trunc = abs(x_lo) + (2.0 * abs(v) + v_k) * t + 60.0 * spread
     return OracleConfig(
         domain_length=big_l,
@@ -191,24 +202,17 @@ def default_config(scenario: Scenario, comparison_window: tuple | None = None) -
     )
 
 
-def _dst1(a):
-    # scipy dst/idst operate on real arrays; complex input is transformed
-    # componentwise for clarity
-    return dst(a.real, type=1) + 1j * dst(a.imag, type=1)
-
-
-def _idst1(a):
-    return idst(a.real, type=1) + 1j * idst(a.imag, type=1)
-
-
 def evolve_grid(scenario: Scenario, config: OracleConfig) -> DensityProfile:
     """Mirror-frame grid evolution; lab-frame densities on the window.
 
     The box length is snapped up to the next multiple of pi/k so the
     truncated standing wave vanishes at the artificial far wall, which
     removes the leading (value-discontinuity) edge artifact; the
-    causality guard keeps the rest away from the window.  Norm drift
-    beyond 1e-8 over the run raises ``OracleNumericalError``.
+    causality guard keeps the rest away from the window.  The n-step
+    Crank-Nicolson product rho**n is applied in its exact closed form
+    exp(-2i n atan(w dt/2)), one multiply per mode.  The norm of the
+    evolved state is checked in real space, after the inverse transform:
+    drift beyond 1e-8 from the initial state raises ``OracleNumericalError``.
     """
     validate_config(scenario, config)
     ctx = scenario.context
@@ -224,23 +228,21 @@ def evolve_grid(scenario: Scenario, config: OracleConfig) -> DensityProfile:
     y = -big_l + dy * np.arange(1, n)
 
     psi0 = initial_state(y, k) * np.exp(-1j * (m * v / hbar) * y)
-    coef = _dst1(psi0)
-    norm0 = float(np.linalg.norm(coef))
+    coef = dst(psi0, type=1)
 
     q = np.pi * np.arange(1, n) / big_l
     omega = hbar * q * q / (2.0 * m)
     n_steps = max(int(math.ceil(t / config.time_step)), 1)
     dt = t / n_steps
-    half = 0.5j * omega * dt
-    rho = (1.0 - half) / (1.0 + half)
-    for _ in range(n_steps):
-        coef *= rho
+    # (1 - i w dt/2) / (1 + i w dt/2) = exp(-2i atan(w dt/2)), so n steps
+    # multiply each mode by exp(-2i n atan(w dt/2))
+    coef *= np.exp(-2j * n_steps * np.arctan(0.5 * omega * dt))
+    psi_t = idst(coef, type=1)
 
-    drift = abs(float(np.linalg.norm(coef)) / norm0 - 1.0)
+    drift = abs(float(np.linalg.norm(psi_t)) / float(np.linalg.norm(psi0)) - 1.0)
     if drift > 1e-8:
         raise OracleNumericalError(f"norm drift {drift:.3e} exceeds 1e-8")
 
-    psi_t = _idst1(coef)
     x = y + v * t
     dens = np.abs(psi_t) ** 2
     x_lo, x_hi = config.comparison_window
@@ -317,6 +319,56 @@ def _tail_series(alpha, x_big, sigma, kappa, b, n_terms=4):
         term = nxt
 
 
+def _panel_sum(scenario: Scenario, xs, nodes, weights):
+    """Quadrature sum_j K(x_i, x'_j) w_j psi_0(x'_j) of the superposition integral.
+
+    The kernel factors as row_i * T(2 alpha z_i x'_j) * col_j with real
+    trigonometric T.  With beta = m v / hbar and z = x - v t, the
+    moving-wall kernel pref * gal * (direct - image) becomes
+
+        -2i pref e^{i(beta z + beta v t/2 + alpha z^2)} sin(2 alpha z x')
+            e^{i(alpha x'^2 - beta x')},
+
+    and the free kernel pref e^{i alpha (x - x')^2} becomes
+    pref e^{i alpha x^2} [cos - i sin](2 alpha x x') e^{i alpha x'^2}.
+    Each chunk of rows is evaluated in one preallocated real buffer.
+    """
+    ctx = scenario.context
+    hbar, m = ctx.hbar, ctx.mass
+    t = scenario.time
+    alpha = m / (2.0 * hbar * t)
+    pref = np.sqrt(m / (2.0 * np.pi * hbar * t)) * np.exp(-0.25j * np.pi)
+    col = weights * 2j * np.sin(scenario.k * nodes)
+    if scenario.mirror.kind is MirrorKind.SUDDEN_REMOVAL:
+        z = xs
+        row = pref * np.exp(1j * alpha * z * z)
+        col = col * np.exp(1j * alpha * nodes * nodes)
+        terms = ((np.cos, 1.0), (np.sin, -1j))
+    else:
+        v = _mirror_speed(scenario)
+        beta = m * v / hbar
+        z = xs - v * t
+        row = -2j * pref * np.exp(1j * (beta * z + 0.5 * beta * v * t + alpha * z * z))
+        col = col * np.exp(1j * (alpha * nodes * nodes - beta * nodes))
+        terms = ((np.sin, 1.0),)
+    cols = np.stack([col.real, col.imag], axis=1)
+
+    psi = np.empty(xs.shape, dtype=complex)
+    chunk = max(1, int(4e6 // nodes.size))
+    buf = np.empty((min(chunk, xs.size), nodes.size))
+    for i0 in range(0, xs.size, chunk):
+        zi = 2.0 * alpha * z[i0 : i0 + chunk]
+        b = buf[: zi.size]
+        acc = 0.0
+        for trig, c in terms:
+            np.multiply.outer(zi, nodes, out=b)
+            trig(b, out=b)
+            re_im = b @ cols
+            acc = acc + c * (re_im[:, 0] + 1j * re_im[:, 1])
+        psi[i0 : i0 + chunk] = row[i0 : i0 + chunk] * acc
+    return psi
+
+
 def evolve_quadrature(
     scenario: Scenario,
     config: OracleConfig,
@@ -326,10 +378,11 @@ def evolve_quadrature(
     """Superposition-integral oracle on the truncated support [-W, 0].
 
     Panel Gauss-Legendre quadrature with at most pi/4 of phase variation
-    per panel, plus the integration-by-parts completion of the tail
-    beyond -W.  The reported per-point truncation estimate is the first
-    neglected completion term (conservative for this alternating-type
-    series); points whose estimate exceeds ``tolerance`` flag the result.
+    per panel, evaluated with the factored kernel of ``_panel_sum``, plus
+    the integration-by-parts completion of the tail beyond -W.  The
+    reported per-point truncation estimate is the first neglected
+    completion term (conservative for this alternating-type series);
+    points whose estimate exceeds ``tolerance`` flag the result.
     """
     if scenario.time <= 0:
         raise OracleConfigError("oracle evolution requires scenario.time > 0")
@@ -346,7 +399,7 @@ def evolve_quadrature(
     ):
         raise OracleConfigError("evaluation points must not lie beyond the mirror")
 
-    # profile of the truncated beam by brute-force panels
+    # panel quadrature over the truncated support [-W, 0]
     psi = np.zeros(xs.shape, dtype=complex)
     est_amp = np.zeros(xs.shape)
     if w_len > 0.0:
@@ -363,28 +416,7 @@ def evolve_quadrature(
         halfw = 0.5 * (edges[1] - edges[0])
         nodes = (mid[:, None] + halfw * _GL_NODES[None, :]).ravel()
         weights = np.broadcast_to(halfw * _GL_WEIGHTS, (n_panels, _GL_NODES.size)).ravel()
-        sin0 = 2j * np.sin(scenario.k * nodes)
-
-        chunk = max(1, int(4e6 // nodes.size))
-        for i0 in range(0, xs.size, chunk):
-            xi = xs[i0 : i0 + chunk]
-            if scenario.mirror.kind is MirrorKind.SUDDEN_REMOVAL:
-                pref = np.sqrt(m / (2.0 * np.pi * hbar * t)) * np.exp(-0.25j * np.pi)
-                phase = alpha * (xi[:, None] - nodes[None, :]) ** 2
-                kern = pref * np.exp(1j * phase)
-            else:
-                v = _mirror_speed(scenario)
-                yv = xi - v * t
-                pref = np.sqrt(m / (2.0 * np.pi * hbar * t)) * np.exp(-0.25j * np.pi)
-                gal = np.exp(
-                    1j
-                    * (m / hbar)
-                    * (v * yv[:, None] + 0.5 * v * v * t - v * nodes[None, :])
-                )
-                direct = np.exp(1j * alpha * (yv[:, None] - nodes[None, :]) ** 2)
-                image = np.exp(1j * alpha * (yv[:, None] + nodes[None, :]) ** 2)
-                kern = pref * gal * (direct - image)
-            psi[i0 : i0 + chunk] = kern @ (weights * sin0)
+        psi = _panel_sum(scenario, xs, nodes, weights)
 
         # completion of the (-inf, -W] tail, one IBP series per component
         guard = 10.0 * spread

@@ -144,9 +144,9 @@ def test_c04_mirror_boundary(ratio):
     )
     assert on_wall == 0.0
     assert near_wall <= 1e-10, (
-        f"the exact density 1 nm inside the wall is {near_wall:.3e}, the forming "
-        f"standing wave 4 sin^2(k' x) of the reflected beam; a 1e-10 bound there "
-        f"contradicts the solution itself"
+        f"the exact density 1 nm inside the wall is {near_wall:.3e}, set by the "
+        + physics
+        + "; a 1e-10 bound there contradicts the solution itself"
     )
 
 

@@ -6,13 +6,16 @@ from mirrorwave.analysis import profile
 from mirrorwave.oracle import (
     OracleConfig,
     OracleConfigError,
+    _panel_sum,
     compare,
     default_config,
     evolve_grid,
     evolve_quadrature,
     refine,
 )
-from mirrorwave.physics import MirrorLaw, PhysicalContext, Scenario
+from mirrorwave.physics import MirrorKind, MirrorLaw, PhysicalContext, Scenario
+
+from . import reference
 
 CTX = PhysicalContext()
 K1 = CTX.wavenumber(0.01)
@@ -98,11 +101,29 @@ class TestGridOracle:
                 assert coarse / fine >= 2.0
 
     def test_norm_is_conserved(self):
-        # the Crank-Nicolson factor is unimodular: a run that drifted past
-        # 1e-8 would raise OracleNumericalError instead of returning
+        # the real-space norm of the evolved state is checked against the
+        # initial state's after the inverse transform: a run whose norm
+        # drifted past 1e-8 would raise OracleNumericalError instead of
+        # returning
         s = Scenario(CTX, K1, MirrorLaw.moving(0.005), 1e-3)
         prof = evolve_grid(s, default_config(s))
         assert np.all(np.isfinite(prof.densities))
+
+    def test_closed_form_power_matches_stepped_loop(self):
+        s = Scenario(CTX, K1, MirrorLaw.moving(0.005), 1e-3)
+        cfg = default_config(s)
+        prof = evolve_grid(s, cfg)
+        xs, dens = reference.evolve_grid_stepped(s, cfg)
+        assert np.array_equal(prof.xs, xs)
+        assert np.abs(prof.densities - dens).max() <= 1e-10
+
+    def test_default_config_meets_bound_at_short_time(self):
+        # 0.8 cm/s beam, mirror at 0.8 v_k, 2 ms: the Crank-Nicolson front
+        # shed by the far edge must stay out of the default window
+        vk = 0.008
+        s = Scenario(CTX, CTX.wavenumber(vk), MirrorLaw.moving(0.8 * vk), 2e-3)
+        prof = evolve_grid(s, default_config(s))
+        assert compare(prof, profile(s, prof.xs)).max_abs_err <= 1e-3
 
 
 class TestQuadratureOracle:
@@ -144,6 +165,29 @@ class TestQuadratureOracle:
         res = evolve_quadrature(s, cfg, xs, tolerance=1e-4)
         assert np.all(res.profile.densities == 0.0)
         assert res.flagged
+
+    @pytest.mark.parametrize(
+        "law",
+        [MirrorLaw.moving(0.005), MirrorLaw.moving(-0.004), MirrorLaw.sudden_removal()],
+        ids=["receding", "approaching", "sudden"],
+    )
+    def test_factored_kernel_matches_unfactored(self, law):
+        t = 5e-3
+        s = Scenario(CTX, K1, law, t)
+        w_len = default_config(s).truncation_window
+        nodes = np.linspace(-w_len, 0.0, 20001)
+        weights = np.full(nodes.size, nodes[1] - nodes[0])
+        x_hi = s.mirror_position if law.kind is MirrorKind.MOVING else 0.005 * t
+        xs = np.linspace(-0.5 * CTX.velocity(K1) * t, x_hi, 41)
+        if law.kind is MirrorKind.MOVING:
+            kern = reference.moving_kernel_unfactored(
+                xs, nodes, t, law.velocity, CTX.hbar, CTX.mass
+            )
+        else:
+            kern = reference.free_kernel_unfactored(xs, nodes, t, CTX.hbar, CTX.mass)
+        want = kern @ (weights * 2j * np.sin(K1 * nodes))
+        got = _panel_sum(s, xs, nodes, weights)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_points_beyond_mirror_rejected(self):
         t = 5e-3
