@@ -27,13 +27,14 @@ Two oracles, deliberately different from the closed-form route:
     propagator.  Panels are sized so the integrand phase varies at most
     pi/4 per panel (Gauss-Legendre, 8 nodes).  The propagator is factored
     into a row phase, a real trigonometric matrix of 2 alpha x x' and a
-    column phase, so the panel sum is one real matrix product per chunk
-    of points.  The discarded tail (-inf, -W] of the semi-infinite beam
-    decays only algebraically (a hard-edge diffraction tail ~ 1/distance),
-    far too slowly for simple truncation at any feasible W, so the tail is
-    completed by the exact integration-by-parts series of the
-    non-stationary oscillatory integral; the first neglected term is
-    reported as the truncation estimate.
+    column phase, so the panel sum is a sum of real matrix products over
+    cache-sized blocks of points and nodes.  The discarded tail (-inf, -W]
+    of the semi-infinite beam decays only algebraically (a hard-edge
+    diffraction tail ~ 1/distance), far too slowly for simple truncation
+    at any feasible W, so the tail is completed by the exact
+    integration-by-parts series of the non-stationary oscillatory
+    integral; the first neglected term is reported as the truncation
+    estimate.
 
 The ``OracleConfig`` guards keep both oracles honest: the domain must be
 deep enough that the artificial left edge cannot influence the
@@ -54,6 +55,10 @@ from .physics import MirrorKind, Scenario
 from .waves import critical_points, initial_state
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
+# the panel sum works through (rows x nodes) blocks of at most _BLOCK_SIZE
+# doubles (1 MiB), small enough to stay in a core's L2 cache, so its work
+# buffer does not grow with the panel count
+_BLOCK_SIZE = 1 << 17
 
 
 class OracleConfigError(ValueError):
@@ -331,7 +336,8 @@ def _panel_sum(scenario: Scenario, xs, nodes, weights):
 
     and the free kernel pref e^{i alpha (x - x')^2} becomes
     pref e^{i alpha x^2} [cos - i sin](2 alpha x x') e^{i alpha x'^2}.
-    Each chunk of rows is evaluated in one preallocated real buffer.
+    Each block of rows and nodes is evaluated in one preallocated real
+    buffer of at most ``_BLOCK_SIZE`` doubles.
     """
     ctx = scenario.context
     hbar, m = ctx.hbar, ctx.mass
@@ -354,18 +360,22 @@ def _panel_sum(scenario: Scenario, xs, nodes, weights):
     cols = np.stack([col.real, col.imag], axis=1)
 
     psi = np.empty(xs.shape, dtype=complex)
-    chunk = max(1, int(4e6 // nodes.size))
-    buf = np.empty((min(chunk, xs.size), nodes.size))
-    for i0 in range(0, xs.size, chunk):
-        zi = 2.0 * alpha * z[i0 : i0 + chunk]
-        b = buf[: zi.size]
+    rows = min(xs.size, math.isqrt(_BLOCK_SIZE))
+    width = max(1, _BLOCK_SIZE // rows)
+    buf = np.empty(rows * min(width, nodes.size))
+    for i0 in range(0, xs.size, rows):
+        zi = 2.0 * alpha * z[i0 : i0 + rows]
         acc = 0.0
         for trig, c in terms:
-            np.multiply.outer(zi, nodes, out=b)
-            trig(b, out=b)
-            re_im = b @ cols
+            re_im = np.zeros((zi.size, 2))
+            for j0 in range(0, nodes.size, width):
+                xj = nodes[j0 : j0 + width]
+                b = buf[: zi.size * xj.size].reshape(zi.size, xj.size)
+                np.multiply.outer(zi, xj, out=b)
+                trig(b, out=b)
+                re_im += b @ cols[j0 : j0 + width]
             acc = acc + c * (re_im[:, 0] + 1j * re_im[:, 1])
-        psi[i0 : i0 + chunk] = row[i0 : i0 + chunk] * acc
+        psi[i0 : i0 + rows] = row[i0 : i0 + rows] * acc
     return psi
 
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
+from mirrorwave import oracle
 from mirrorwave.analysis import profile
 from mirrorwave.oracle import (
     OracleConfig,
@@ -188,6 +189,19 @@ class TestQuadratureOracle:
         want = kern @ (weights * 2j * np.sin(K1 * nodes))
         got = _panel_sum(s, xs, nodes, weights)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_blocked_panel_sum_matches_single_block(self, monkeypatch):
+        # 41 rows x 2001 nodes fit one default block; 10-row x 10-node
+        # blocks leave ragged last blocks in both directions
+        t = 5e-3
+        s = Scenario(CTX, K1, MirrorLaw.moving(0.005), t)
+        nodes = np.linspace(-default_config(s).truncation_window, 0.0, 2001)
+        weights = np.full(nodes.size, nodes[1] - nodes[0])
+        xs = np.linspace(-0.5 * CTX.velocity(K1) * t, s.mirror_position, 41)
+        whole = _panel_sum(s, xs, nodes, weights)
+        monkeypatch.setattr(oracle, "_BLOCK_SIZE", 100)
+        blocked = _panel_sum(s, xs, nodes, weights)
+        assert np.abs(blocked - whole).max() <= 1e-13 * np.abs(whole).max()
 
     def test_points_beyond_mirror_rejected(self):
         t = 5e-3
