@@ -42,7 +42,6 @@ from .physics import (
     PhysicalContext,
     Scenario,
     UnknownUnitError,
-    beam_velocity,
     from_si,
     to_si,
 )
@@ -51,8 +50,6 @@ from .specialfn import (
     erfc_complex,
     faddeeva,
     fresnel,
-    fresnel_series,
-    gamma_half,
 )
 from .waves import (
     CriticalPoints,
@@ -63,8 +60,6 @@ from .waves import (
     moshinsky_asymptotic,
     moshinsky_m,
     moshinsky_z,
-    propagator_free,
-    propagator_moving_wall,
     psi_moving,
     psi_near_limit,
     psi_sudden,

@@ -25,13 +25,16 @@ Two oracles, deliberately different from the closed-form route:
     Direct panel quadrature of the superposition integral over the
     truncated initial support [-W, 0] with the free or moving-wall
     propagator.  Panels are sized so the integrand phase varies at most
-    pi/4 per panel (Gauss-Legendre, 8 nodes).  The propagator is factored
-    into a row phase, a real trigonometric matrix of 2 alpha x x' and a
-    column phase, so the panel sum is a sum of real matrix products over
-    cache-sized blocks of points and nodes.  The discarded tail (-inf, -W]
-    of the semi-infinite beam decays only algebraically (a hard-edge
-    diffraction tail ~ 1/distance), far too slowly for simple truncation
-    at any feasible W, so the tail is completed by the exact
+    pi/4 per panel (Gauss-Legendre, 8 nodes).  The integrand is factored
+    once (``_Kernel``) into a row phase, exponentials e^{+-2i alpha z x'}
+    of the mirror-frame point z = x - v t, and a column phase.  The panel
+    sum reads the exponentials as a real trigonometric matrix, so it is a
+    sum of real matrix products over cache-sized blocks of points and
+    nodes.  The discarded tail (-inf, -W] of the semi-infinite beam
+    decays only algebraically (a hard-edge diffraction tail ~ 1/distance),
+    far too slowly for simple truncation at any feasible W.  The same
+    factors expand there into quadratic-phase terms
+    e^{i(alpha x'^2 + kappa x')}, each completed by the exact
     integration-by-parts series of the non-stationary oscillatory
     integral; the first neglected term is reported as the truncation
     estimate.
@@ -46,19 +49,22 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 from scipy.fft import dst, idst
 
 from .analysis import DensityProfile
 from .physics import MirrorKind, Scenario
-from .waves import critical_points, initial_state
+from .waves import _boost, critical_points, initial_state
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
 # the panel sum works through (rows x nodes) blocks of at most _BLOCK_SIZE
 # doubles (1 MiB), small enough to stay in a core's L2 cache, so its work
 # buffer does not grow with the panel count
 _BLOCK_SIZE = 1 << 17
+# at most this many integration-by-parts terms per tail completion
+_TAIL_TERMS = 4
 
 
 class OracleConfigError(ValueError):
@@ -274,43 +280,53 @@ class QuadratureResult:
     flagged: bool
 
 
-def _components(scenario: Scenario, x: float):
-    """Decompose the superposition integrand into quadratic-phase waves.
+class _Kernel(NamedTuple):
+    """The superposition integrand K(x_i, x') psi_0(x'), factored.
 
-    Each component is (amplitude, X, sigma, kappa) describing
-    amplitude * exp(i [ alpha (X - sigma x')**2 + kappa x' ]) with
-    alpha = m / (2 hbar t); the initial sine contributes kappa = +-k and
-    the moving-wall kernel its image term and Galilean phase.
+    With alpha = m / (2 hbar t), beta = m v / hbar and z = x - v t,
+
+        K(x_i, x') psi_0(x') = row_i * sum_s a_s e^{i s 2 alpha z_i x'}
+                               * e^{i(alpha x'^2 - beta x')} * 2i sin(k x'),
+
+    where row = pref * boost(x) * e^{i alpha z^2} holds the free-propagator
+    prefactor pref and the Galilean boost phase.  The free kernel
+    pref e^{i alpha (x - x')^2} of sudden removal (v = 0) is the direct
+    term alone, ``modes`` = ((-1, 1),); the moving-wall kernel subtracts
+    its image about the wall, ((-1, 1), (+1, -1)).
     """
+
+    alpha: float
+    v: float
+    beta: float
+    k: float
+    z: np.ndarray
+    row: np.ndarray
+    modes: tuple
+
+
+def _kernel(scenario: Scenario, xs) -> _Kernel:
+    """Factor the superposition integrand at the evaluation points ``xs``."""
     ctx = scenario.context
     hbar, m = ctx.hbar, ctx.mass
     t = scenario.time
-    k = scenario.k
-    kind = scenario.mirror.kind
+    alpha = m / (2.0 * hbar * t)
     pref = np.sqrt(m / (2.0 * np.pi * hbar * t)) * np.exp(-0.25j * np.pi)
-    if kind is MirrorKind.SUDDEN_REMOVAL:
-        return [(pref, x, 1.0, k), (-pref, x, 1.0, -k)]
-    v = _mirror_speed(scenario)
-    beta = m * v / hbar
-    y = x - v * t
-    # Galilean boost phase e^{i(m/hbar)(v y + v^2 t/2)} and -beta*x' under
-    # the integral; the sine splits into +-k exponentials
-    gal = pref * np.exp(1j * ((m / hbar) * v * y + 0.5 * beta * v * t))
-    comps = []
-    for sk, amp_k in ((k, 1.0), (-k, -1.0)):
-        comps.append((amp_k * gal, y, 1.0, sk - beta))   # direct
-        comps.append((-amp_k * gal, y, -1.0, sk - beta))  # image about the wall
-    return comps
+    if scenario.mirror.kind is MirrorKind.SUDDEN_REMOVAL:
+        v, modes = 0.0, ((-1, 1.0),)
+    else:
+        v, modes = _mirror_speed(scenario), ((-1, 1.0), (1, -1.0))
+    z = xs - v * t
+    row = pref * _boost(xs, t, v, ctx) * np.exp(1j * alpha * z * z)
+    return _Kernel(alpha, v, m * v / hbar, scenario.k, z, row, modes)
 
 
-def _tail_series(alpha, x_big, sigma, kappa, b, n_terms=4):
-    """IBP series of int_{-inf}^{b} exp(i phi) dx' with no stationary point.
+def _tail_series(alpha, kappa, b):
+    """IBP series of int_{-inf}^{b} exp(i(alpha x'^2 + kappa x')) dx'.
 
-    Returns (value, first_neglected_magnitude).  phi' must be bounded
-    away from zero on the tail; the caller guards this.
+    Returns (value, first_neglected_magnitude).  The stationary point
+    -kappa / (2 alpha) must lie well right of b; the caller guards this.
     """
-    phi_b = alpha * (x_big - sigma * b) ** 2 + kappa * b
-    dphi = -2.0 * alpha * sigma * (x_big - sigma * b) + kappa
+    dphi = 2.0 * alpha * b + kappa
     ddphi = 2.0 * alpha
     total = 0.0 + 0.0j
     term = 1.0 / (1j * dphi)
@@ -319,51 +335,38 @@ def _tail_series(alpha, x_big, sigma, kappa, b, n_terms=4):
         total += term
         nxt = term * (2 * n + 1) * ddphi / (1j * dphi * dphi)
         n += 1
-        if n > n_terms or abs(nxt) >= abs(term):
-            return np.exp(1j * phi_b) * total, abs(nxt)
+        if n > _TAIL_TERMS or abs(nxt) >= abs(term):
+            return np.exp(1j * (alpha * b * b + kappa * b)) * total, abs(nxt)
         term = nxt
 
 
-def _panel_sum(scenario: Scenario, xs, nodes, weights):
+def _panel_sum(kern: _Kernel, nodes, weights):
     """Quadrature sum_j K(x_i, x'_j) w_j psi_0(x'_j) of the superposition integral.
 
-    The kernel factors as row_i * T(2 alpha z_i x'_j) * col_j with real
-    trigonometric T.  With beta = m v / hbar and z = x - v t, the
-    moving-wall kernel pref * gal * (direct - image) becomes
-
-        -2i pref e^{i(beta z + beta v t/2 + alpha z^2)} sin(2 alpha z x')
-            e^{i(alpha x'^2 - beta x')},
-
-    and the free kernel pref e^{i alpha (x - x')^2} becomes
-    pref e^{i alpha x^2} [cos - i sin](2 alpha x x') e^{i alpha x'^2}.
-    Each block of rows and nodes is evaluated in one preallocated real
-    buffer of at most ``_BLOCK_SIZE`` doubles.
+    sum_s a_s e^{i s theta} = (sum_s a_s) cos(theta) + i (sum_s s a_s) sin(theta)
+    with theta = 2 alpha z_i x'_j, so the sum is row_i times real
+    trigonometric matrices applied to the column factors
+    w_j e^{i(alpha x'^2 - beta x')} 2i sin(k x'): sin alone for the
+    moving wall, cos and sin for the free kernel.  Each block of rows and
+    nodes is evaluated in one preallocated real buffer of at most
+    ``_BLOCK_SIZE`` doubles.
     """
-    ctx = scenario.context
-    hbar, m = ctx.hbar, ctx.mass
-    t = scenario.time
-    alpha = m / (2.0 * hbar * t)
-    pref = np.sqrt(m / (2.0 * np.pi * hbar * t)) * np.exp(-0.25j * np.pi)
-    col = weights * 2j * np.sin(scenario.k * nodes)
-    if scenario.mirror.kind is MirrorKind.SUDDEN_REMOVAL:
-        z = xs
-        row = pref * np.exp(1j * alpha * z * z)
-        col = col * np.exp(1j * alpha * nodes * nodes)
-        terms = ((np.cos, 1.0), (np.sin, -1j))
-    else:
-        v = _mirror_speed(scenario)
-        beta = m * v / hbar
-        z = xs - v * t
-        row = -2j * pref * np.exp(1j * (beta * z + 0.5 * beta * v * t + alpha * z * z))
-        col = col * np.exp(1j * (alpha * nodes * nodes - beta * nodes))
-        terms = ((np.sin, 1.0),)
+    alpha = kern.alpha
+    col = weights * 2j * np.sin(kern.k * nodes)
+    col = col * np.exp(1j * (alpha * nodes * nodes - kern.beta * nodes))
     cols = np.stack([col.real, col.imag], axis=1)
+    coefs = (
+        (np.cos, sum(a for _, a in kern.modes)),
+        (np.sin, 1j * sum(s * a for s, a in kern.modes)),
+    )
+    terms = [(trig, c) for trig, c in coefs if c != 0]
 
-    psi = np.empty(xs.shape, dtype=complex)
-    rows = min(xs.size, math.isqrt(_BLOCK_SIZE))
+    z = kern.z
+    psi = np.empty(z.shape, dtype=complex)
+    rows = min(z.size, math.isqrt(_BLOCK_SIZE))
     width = max(1, _BLOCK_SIZE // rows)
     buf = np.empty(rows * min(width, nodes.size))
-    for i0 in range(0, xs.size, rows):
+    for i0 in range(0, z.size, rows):
         zi = 2.0 * alpha * z[i0 : i0 + rows]
         acc = 0.0
         for trig, c in terms:
@@ -375,7 +378,7 @@ def _panel_sum(scenario: Scenario, xs, nodes, weights):
                 trig(b, out=b)
                 re_im += b @ cols[j0 : j0 + width]
             acc = acc + c * (re_im[:, 0] + 1j * re_im[:, 1])
-        psi[i0 : i0 + rows] = row[i0 : i0 + rows] * acc
+        psi[i0 : i0 + rows] = kern.row[i0 : i0 + rows] * acc
     return psi
 
 
@@ -388,8 +391,8 @@ def evolve_quadrature(
     """Superposition-integral oracle on the truncated support [-W, 0].
 
     Panel Gauss-Legendre quadrature with at most pi/4 of phase variation
-    per panel, evaluated with the factored kernel of ``_panel_sum``, plus
-    the integration-by-parts completion of the tail beyond -W.  The
+    per panel plus the integration-by-parts completion of the tail beyond
+    -W, both read from one factorization of the integrand (``_Kernel``).  The
     reported per-point truncation estimate is the first neglected
     completion term (conservative for this alternating-type series);
     points whose estimate exceeds ``tolerance`` flag the result.
@@ -401,7 +404,6 @@ def evolve_quadrature(
     t = scenario.time
     w_len = config.truncation_window
     xs = np.asarray(xs, dtype=float)
-    alpha = m / (2.0 * hbar * t)
     spread = math.sqrt(hbar * t / m)
 
     if scenario.mirror.kind is MirrorKind.MOVING and np.any(
@@ -413,11 +415,10 @@ def evolve_quadrature(
     psi = np.zeros(xs.shape, dtype=complex)
     est_amp = np.zeros(xs.shape)
     if w_len > 0.0:
-        comps_probe = _components(scenario, float(np.max(np.abs(xs))))
-        max_x = float(np.max(np.abs(xs)))
-        v_here = 0.0 if scenario.mirror.kind is MirrorKind.SUDDEN_REMOVAL else _mirror_speed(scenario)
-        max_off = max_x + abs(v_here) * t
-        kap_max = max(abs(c[3]) for c in comps_probe)
+        kern = _kernel(scenario, xs)
+        k, alpha, beta = kern.k, kern.alpha, kern.beta
+        max_off = float(np.max(np.abs(xs))) + abs(kern.v) * t
+        kap_max = k + abs(beta)
         dphi_max = 2.0 * alpha * (max_off + w_len) + kap_max
         h = (np.pi / 4.0) / dphi_max
         n_panels = max(int(math.ceil(w_len / h)), 1)
@@ -426,21 +427,24 @@ def evolve_quadrature(
         halfw = 0.5 * (edges[1] - edges[0])
         nodes = (mid[:, None] + halfw * _GL_NODES[None, :]).ravel()
         weights = np.broadcast_to(halfw * _GL_WEIGHTS, (n_panels, _GL_NODES.size)).ravel()
-        psi = _panel_sum(scenario, xs, nodes, weights)
+        psi = _panel_sum(kern, nodes, weights)
 
-        # completion of the (-inf, -W] tail, one IBP series per component
+        # completion of the (-inf, -W] tail: the factored integrand expands
+        # into terms row_i * c * e^{i(alpha x'^2 + kappa x')} with
+        # kappa = s 2 alpha z_i +- k - beta, one IBP series each
         guard = 10.0 * spread
-        for i, x in enumerate(xs):
-            for amp, x_big, sigma, kappa in _components(scenario, float(x)):
-                stat = sigma * (x_big - kappa / (2.0 * alpha))
-                if stat - guard <= -w_len:
-                    # stationary point too close to (or inside) the tail:
-                    # cannot complete; report the raw boundary magnitude
-                    est_amp[i] = np.inf
-                    continue
-                val, neglected = _tail_series(alpha, x_big, sigma, kappa, -w_len)
-                psi[i] += amp * val
-                est_amp[i] += abs(amp) * neglected
+        for i, (zi, ri) in enumerate(zip(kern.z.tolist(), kern.row.tolist())):
+            for s, a in kern.modes:
+                for sk, c in ((k, a), (-k, -a)):
+                    kappa = s * 2.0 * alpha * zi + sk - beta
+                    if -kappa / (2.0 * alpha) - guard <= -w_len:
+                        # stationary point too close to (or inside) the
+                        # tail: cannot complete
+                        est_amp[i] = np.inf
+                        continue
+                    val, neglected = _tail_series(alpha, kappa, -w_len)
+                    psi[i] += ri * c * val
+                    est_amp[i] += abs(ri * c) * neglected
 
         # round-off floor of the panel sum: each node carries a phase of up
         # to alpha*(|x|+W)**2 + kappa*W radians whose double rounding maps
@@ -448,8 +452,8 @@ def evolve_quadrature(
         # would understate the achievable accuracy
         phase_max = alpha * (max_off + w_len) ** 2 + kap_max * w_len
         abs_kernel_mass = 2.0 * np.sqrt(m / (2.0 * np.pi * hbar * t)) * w_len
-        n_comp = 2 if scenario.mirror.kind is MirrorKind.SUDDEN_REMOVAL else 4
-        roundoff = np.finfo(float).eps * (1.0 + phase_max) * abs_kernel_mass * n_comp
+        n_terms = 2 * len(kern.modes)
+        roundoff = np.finfo(float).eps * (1.0 + phase_max) * abs_kernel_mass * n_terms
         est_amp += np.where(np.isfinite(est_amp), roundoff, 0.0)
     else:
         est_amp[:] = np.inf

@@ -171,7 +171,3 @@ class Scenario:
             return 0.0
         raise ValueError("a suddenly removed mirror has no position")
 
-
-def beam_velocity(scenario: Scenario) -> float:
-    """Beam velocity hbar*k/m of the scenario."""
-    return scenario.v_k

@@ -1,19 +1,18 @@
 """High-accuracy complex special-function kernels.
 
-Four kernels back every wave solution in this package:
+Three kernels back every wave solution in this package:
 
 * ``faddeeva`` -- the scaled complex complementary error function
   w(z) = exp(-z**2) * erfc(-i*z),
 * ``erfc_complex`` -- erfc of a complex argument, derived from w,
-* ``fresnel`` -- the Fresnel integrals C and S (C(inf) = S(inf) = 1/2),
-* ``gamma_half`` -- Gamma(n + 1/2) for the asymptotic series.
+* ``fresnel`` -- the Fresnel integrals C and S (C(inf) = S(inf) = 1/2).
 
 w(z) is evaluated with a region scheme (radii tuned against an
 arbitrary-precision reference):
 
-* |z| <= 2.5              Maclaurin series  w(z) = sum (i z)**n / Gamma(n/2 + 1)
-* 2.5 < |z| <= 12         Weideman rational approximation (N = 48)
-* |z| > 12                Laplace continued fraction
+* |z| <= 1.8              Maclaurin series  w(z) = sum (i z)**n / Gamma(n/2 + 1)
+* 1.8 < |z| <= 12         Weideman rational approximation (N = 48)
+* |z| > 12                ``scipy.special.wofz``
 
 all for Im z >= 0; the lower half-plane uses the reflection
 w(z) = 2 exp(-z**2) - w(-z), guarded against overflow of exp(-z**2).
@@ -29,6 +28,7 @@ and never mutated, so all functions may be called concurrently.
 from __future__ import annotations
 
 import numpy as np
+from scipy.special import wofz
 
 SQRT_PI = 1.7724538509055160273
 
@@ -36,16 +36,10 @@ SQRT_PI = 1.7724538509055160273
 PI_LD = np.longdouble("3.141592653589793238462643383279502884")
 TWO_PI_LD = np.longdouble("6.283185307179586476925286766559005768")
 
-#: True when the platform long double actually carries extra mantissa bits
-#: (x86 80-bit extended).  The fallback path is plain float64, which only
-#: matters for phases beyond ~1e4 rad.
-EXTENDED_PRECISION = np.finfo(np.longdouble).eps < 1e-18
-
 _TAYLOR_RADIUS = 1.8
-_CF_RADIUS = 12.0
+_WOFZ_RADIUS = 12.0
 _TAYLOR_TERMS = 64
 _WEIDEMAN_N = 48
-_CF_DEPTH = 18
 
 # exp(-z*z) overflows double once Im(z)**2 - Re(z)**2 exceeds ~709.78
 _EXP_OVERFLOW = 709.0
@@ -125,29 +119,19 @@ def _w_weideman(z):
     return 2.0 * p / (big_l - iz) ** 2 + (1.0 / SQRT_PI) / (big_l - iz)
 
 
-# --- continued-fraction region ----------------------------------------------
-
-def _w_contfrac(z):
-    # Laplace continued fraction w(z) = (i/sqrt(pi)) / (z - (1/2)/(z - 1/(z - ...)))
-    t = np.zeros_like(z)
-    for n in range(_CF_DEPTH, 0, -1):
-        t = (0.5 * n) / (z - t)
-    return (1j / SQRT_PI) / (z - t)
-
-
 def _w_upper(z):
     """w(z) for Im z >= 0 via the three-region scheme."""
     out = np.empty(z.shape, dtype=complex)
     r = np.abs(z)
     small = r <= _TAYLOR_RADIUS
-    big = r > _CF_RADIUS
+    big = r > _WOFZ_RADIUS
     mid = ~(small | big)
     if small.any():
         out[small] = _w_taylor(z[small])
     if mid.any():
         out[mid] = _w_weideman(z[mid])
     if big.any():
-        out[big] = _w_contfrac(z[big])
+        out[big] = wofz(z[big])
     return out
 
 
@@ -245,49 +229,3 @@ def fresnel(theta):
     if scalar:
         return float(c[0]), float(s[0])
     return c.reshape(th.shape), s.reshape(th.shape)
-
-
-def fresnel_series(theta):
-    """Fresnel integrals by direct power series; cross-check path.
-
-    Accurate to better than 1e-12 for |theta| <= 2.5 and refused beyond
-    |theta| = 3 where cancellation starts to eat digits.  Tests use this
-    as the second, independent route to C and S.
-    """
-    th = float(theta)
-    if abs(th) > 3.0:
-        raise ValueError("fresnel_series is reliable only for |theta| <= 3")
-    u = np.pi * th * th / 2.0
-    # C: sum over even powers, S: odd powers of u
-    c_sum, s_sum = 1.0, 1.0 / 3.0
-    term_c, term_s = 1.0, 1.0
-    n = 0
-    while True:
-        n += 1
-        term_c *= -(u * u) / ((2 * n) * (2 * n - 1))
-        term_s *= -(u * u) / ((2 * n + 1) * (2 * n))
-        dc = term_c / (4 * n + 1)
-        ds = term_s / (4 * n + 3)
-        c_sum += dc
-        s_sum += ds
-        if abs(dc) < 1e-18 and abs(ds) < 1e-18:
-            break
-        if n > 200:  # unreachable for |theta| <= 3
-            raise RuntimeError("fresnel series failed to converge")
-    return th * c_sum, u * th * s_sum
-
-
-def gamma_half(n: int) -> float:
-    """Gamma(n + 1/2) by recurrence from Gamma(1/2) = sqrt(pi).
-
-    Raises OverflowError once the value leaves the double range
-    (n >= 171).
-    """
-    if n != int(n) or n < 0:
-        raise ValueError("gamma_half requires a nonnegative integer")
-    val = SQRT_PI
-    for j in range(int(n)):
-        val *= j + 0.5
-        if np.isinf(val):
-            raise OverflowError(f"Gamma({n}+1/2) overflows double precision")
-    return val

@@ -135,55 +135,16 @@ def psi_sudden(x, t: float, k: float, context: PhysicalContext):
     return moshinsky_m(x, k, t, context) - moshinsky_m(x, -k, t, context)
 
 
-def propagator_free(x, t: float, xp, tp: float, context: PhysicalContext):
-    """Free one-dimensional propagator K0(x, t | x', t'), principal-branch root."""
-    if not t > tp:
-        raise ValueError("propagator_free requires t > t'")
-    hbar, m = context.hbar, context.mass
-    dt = t - tp
-    amp = np.sqrt(m / (2.0 * np.pi * hbar * dt)) * np.exp(-0.25j * np.pi)
-    dx_ld = np.asarray(x, dtype=np.longdouble) - np.asarray(xp, dtype=np.longdouble)
-    phase = np.longdouble(m) * dx_ld * dx_ld / (2.0 * np.longdouble(hbar) * np.longdouble(dt))
-    val = amp * cis(phase)
-    return complex(val[()]) if val.ndim == 0 else val
+def _boost(x, t: float, v: float, context: PhysicalContext):
+    """Galilean boost phase e^{i(m v x/hbar - m v^2 t/(2 hbar))}, assembled in long double.
 
-
-def propagator_moving_wall(x, t: float, xp, tp: float, v: float, context: PhysicalContext):
-    """Propagator with a perfectly reflecting wall moving along x_w = v*t.
-
-    Image construction in the comoving frame times the Galilean phase:
-
-        K = e^{i(m/hbar)[v(x-vt) - v(x'-vt') + v^2(t-t')/2]}
-            x [K0(x-vt, t | x'-vt', t') - K0(x-vt, t | -(x'-vt'), t')]
-
-    The phase follows from the boost psi_lab = e^{i(mvx - m v^2 t/2)/hbar}
-    psi_mirror(x - vt, t); the opposite overall sign fails to reproduce
-    the closed-form moving-mirror solution under the superposition
-    integral, which pins the convention.  Vanishes identically when the
-    endpoint sits on the wall; both endpoints must lie in the physical
-    region (x <= v t, x' <= v t').
+    It carries a mirror-frame wavefunction psi(x - v t, t) to the lab frame.
     """
-    if not t > tp:
-        raise ValueError("propagator_moving_wall requires t > t'")
-    xa = np.asarray(x, dtype=float)
-    xpa = np.asarray(xp, dtype=float)
-    if np.any(xa > v * t) or np.any(xpa > v * tp):
-        raise ValueError("propagator_moving_wall endpoints must satisfy x <= v*t")
-    hbar, m = context.hbar, context.mass
-    y, yp = xa - v * t, xpa - v * tp
-    phase = (
-        np.longdouble(m)
-        / np.longdouble(hbar)
-        * (
-            np.longdouble(v) * (np.asarray(xa, np.longdouble) - np.longdouble(v) * np.longdouble(t))
-            - np.longdouble(v) * (np.asarray(xpa, np.longdouble) - np.longdouble(v) * np.longdouble(tp))
-            + np.longdouble(v) ** 2 * (np.longdouble(t) - np.longdouble(tp)) / 2.0
-        )
-    )
-    val = cis(phase) * (
-        propagator_free(y, t, yp, tp, context) - propagator_free(y, t, -yp, tp, context)
-    )
-    return complex(val[()]) if val.ndim == 0 else val
+    hbar = np.longdouble(context.hbar)
+    m = np.longdouble(context.mass)
+    v_ld = np.longdouble(v)
+    x_ld = np.asarray(x, dtype=np.longdouble)
+    return cis(m * v_ld * x_ld / hbar - m * v_ld**2 * np.longdouble(t) / (2.0 * hbar))
 
 
 @dataclass(frozen=True)
@@ -257,12 +218,7 @@ def psi_moving(x, t: float, scenario: Scenario) -> WaveComponents:
     m2 = moshinsky_m(y, km, t, ctx)
     m3 = moshinsky_m(-y, kp, t, ctx)
     m4 = moshinsky_m(-y, km, t, ctx)
-    x_ld = np.asarray(xa, dtype=np.longdouble)
-    phase = (
-        np.longdouble(m) * np.longdouble(v) * x_ld / np.longdouble(hbar)
-        - np.longdouble(m) * np.longdouble(v) ** 2 * np.longdouble(t) / (2.0 * np.longdouble(hbar))
-    )
-    prefactor = cis(phase)
+    prefactor = _boost(xa, t, v, ctx)
     # group the pairs that coincide bitwise at the wall (M1,M3) and (M2,M4)
     # so psi(vt, t) cancels to exactly zero instead of rounding noise
     formal = (m1 - m3) - (m2 - m4)
@@ -290,16 +246,10 @@ def psi_near_limit(x, t: float, scenario: Scenario):
     if scenario.mirror.kind is not MirrorKind.MOVING:
         raise ValueError("psi_near_limit requires the finite-velocity mirror variant")
     ctx = scenario.context
-    hbar, m = ctx.hbar, ctx.mass
     v = scenario.mirror_velocity
     xa = np.asarray(x, dtype=float)
     y = xa - v * t
-    x_ld = np.asarray(xa, dtype=np.longdouble)
-    phase = (
-        np.longdouble(m) * np.longdouble(v) * x_ld / np.longdouble(hbar)
-        - np.longdouble(m) * np.longdouble(v) ** 2 * np.longdouble(t) / (2.0 * np.longdouble(hbar))
-    )
-    val = cis(phase) * (moshinsky_m(y, 0.0, t, ctx) - moshinsky_m(-y, 0.0, t, ctx))
+    val = _boost(xa, t, v, ctx) * (moshinsky_m(y, 0.0, t, ctx) - moshinsky_m(-y, 0.0, t, ctx))
     return complex(val[()]) if val.ndim == 0 else val
 
 

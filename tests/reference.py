@@ -2,10 +2,11 @@
 
 These are the independent oracles the library is validated against:
 direct mpmath evaluation of erfc/Fresnel and the wave building blocks,
-kept deliberately separate from the package's own algorithms, plus the
-straightforward forms of the numerical oracles' inner loops (the stepped
-Crank-Nicolson product and the unfactored propagator kernels) that the
-library replaces with closed-form and factored equivalents.
+kept deliberately separate from the package's own algorithms, the
+Fresnel power series, plus the straightforward forms of the numerical
+oracles' inner loops (the stepped Crank-Nicolson product and the
+unfactored free and moving-wall propagators) that the library replaces
+with closed-form and factored equivalents.
 """
 
 import math
@@ -13,6 +14,8 @@ import math
 import mpmath as mp
 import numpy as np
 from scipy.fft import dst, idst
+
+from mirrorwave.specialfn import cis
 
 mp.mp.dps = 30
 
@@ -92,21 +95,82 @@ def evolve_grid_stepped(scenario, config):
     return x[sel], np.abs(psi_t[sel]) ** 2
 
 
-def moving_kernel_unfactored(xs, nodes, t, v, hbar, mass):
-    """Moving-wall propagator pref * gal * (direct - image) as a full matrix."""
-    alpha = mass / (2.0 * hbar * t)
-    yv = np.asarray(xs) - v * t
-    pref = math.sqrt(mass / (2.0 * math.pi * hbar * t)) * np.exp(-0.25j * np.pi)
-    gal = np.exp(
-        1j * (mass / hbar) * (v * yv[:, None] + 0.5 * v * v * t - v * nodes[None, :])
+def propagator_free(x, t: float, xp, tp: float, context):
+    """Free one-dimensional propagator K0(x, t | x', t'), principal-branch root."""
+    if not t > tp:
+        raise ValueError("propagator_free requires t > t'")
+    hbar, m = context.hbar, context.mass
+    dt = t - tp
+    amp = np.sqrt(m / (2.0 * np.pi * hbar * dt)) * np.exp(-0.25j * np.pi)
+    dx_ld = np.asarray(x, dtype=np.longdouble) - np.asarray(xp, dtype=np.longdouble)
+    phase = np.longdouble(m) * dx_ld * dx_ld / (2.0 * np.longdouble(hbar) * np.longdouble(dt))
+    val = amp * cis(phase)
+    return complex(val[()]) if val.ndim == 0 else val
+
+
+def propagator_moving_wall(x, t: float, xp, tp: float, v: float, context):
+    """Propagator with a perfectly reflecting wall moving along x_w = v*t.
+
+    Image construction in the comoving frame times the Galilean phase:
+
+        K = e^{i(m/hbar)[v(x-vt) - v(x'-vt') + v^2(t-t')/2]}
+            x [K0(x-vt, t | x'-vt', t') - K0(x-vt, t | -(x'-vt'), t')]
+
+    The phase follows from the boost psi_lab = e^{i(mvx - m v^2 t/2)/hbar}
+    psi_mirror(x - vt, t); the opposite overall sign fails to reproduce
+    the closed-form moving-mirror solution under the superposition
+    integral, which pins the convention.  Vanishes identically when the
+    endpoint sits on the wall; both endpoints must lie in the physical
+    region (x <= v t, x' <= v t').
+    """
+    if not t > tp:
+        raise ValueError("propagator_moving_wall requires t > t'")
+    xa = np.asarray(x, dtype=float)
+    xpa = np.asarray(xp, dtype=float)
+    if np.any(xa > v * t) or np.any(xpa > v * tp):
+        raise ValueError("propagator_moving_wall endpoints must satisfy x <= v*t")
+    hbar, m = context.hbar, context.mass
+    y, yp = xa - v * t, xpa - v * tp
+    phase = (
+        np.longdouble(m)
+        / np.longdouble(hbar)
+        * (
+            np.longdouble(v) * (np.asarray(xa, np.longdouble) - np.longdouble(v) * np.longdouble(t))
+            - np.longdouble(v) * (np.asarray(xpa, np.longdouble) - np.longdouble(v) * np.longdouble(tp))
+            + np.longdouble(v) ** 2 * (np.longdouble(t) - np.longdouble(tp)) / 2.0
+        )
     )
-    direct = np.exp(1j * alpha * (yv[:, None] - nodes[None, :]) ** 2)
-    image = np.exp(1j * alpha * (yv[:, None] + nodes[None, :]) ** 2)
-    return pref * gal * (direct - image)
+    val = cis(phase) * (
+        propagator_free(y, t, yp, tp, context) - propagator_free(y, t, -yp, tp, context)
+    )
+    return complex(val[()]) if val.ndim == 0 else val
 
 
-def free_kernel_unfactored(xs, nodes, t, hbar, mass):
-    """Free propagator pref * exp(i alpha (x - x')^2) as a full matrix."""
-    alpha = mass / (2.0 * hbar * t)
-    pref = math.sqrt(mass / (2.0 * math.pi * hbar * t)) * np.exp(-0.25j * np.pi)
-    return pref * np.exp(1j * alpha * (np.asarray(xs)[:, None] - nodes[None, :]) ** 2)
+def fresnel_series(theta):
+    """Fresnel integrals by direct power series; cross-check path.
+
+    Accurate to better than 1e-12 for |theta| <= 2.5 and refused beyond
+    |theta| = 3 where cancellation starts to eat digits.  Tests use this
+    as the second, independent route to C and S.
+    """
+    th = float(theta)
+    if abs(th) > 3.0:
+        raise ValueError("fresnel_series is reliable only for |theta| <= 3")
+    u = np.pi * th * th / 2.0
+    # C: sum over even powers, S: odd powers of u
+    c_sum, s_sum = 1.0, 1.0 / 3.0
+    term_c, term_s = 1.0, 1.0
+    n = 0
+    while True:
+        n += 1
+        term_c *= -(u * u) / ((2 * n) * (2 * n - 1))
+        term_s *= -(u * u) / ((2 * n + 1) * (2 * n))
+        dc = term_c / (4 * n + 1)
+        ds = term_s / (4 * n + 3)
+        c_sum += dc
+        s_sum += ds
+        if abs(dc) < 1e-18 and abs(ds) < 1e-18:
+            break
+        if n > 200:  # unreachable for |theta| <= 3
+            raise RuntimeError("fresnel series failed to converge")
+    return th * c_sum, u * th * s_sum

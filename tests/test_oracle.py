@@ -7,6 +7,7 @@ from mirrorwave.analysis import profile
 from mirrorwave.oracle import (
     OracleConfig,
     OracleConfigError,
+    _kernel,
     _panel_sum,
     compare,
     default_config,
@@ -181,13 +182,13 @@ class TestQuadratureOracle:
         x_hi = s.mirror_position if law.kind is MirrorKind.MOVING else 0.005 * t
         xs = np.linspace(-0.5 * CTX.velocity(K1) * t, x_hi, 41)
         if law.kind is MirrorKind.MOVING:
-            kern = reference.moving_kernel_unfactored(
-                xs, nodes, t, law.velocity, CTX.hbar, CTX.mass
+            kern = reference.propagator_moving_wall(
+                xs[:, None], t, nodes[None, :], 0.0, law.velocity, CTX
             )
         else:
-            kern = reference.free_kernel_unfactored(xs, nodes, t, CTX.hbar, CTX.mass)
+            kern = reference.propagator_free(xs[:, None], t, nodes[None, :], 0.0, CTX)
         want = kern @ (weights * 2j * np.sin(K1 * nodes))
-        got = _panel_sum(s, xs, nodes, weights)
+        got = _panel_sum(_kernel(s, xs), nodes, weights)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_blocked_panel_sum_matches_single_block(self, monkeypatch):
@@ -198,10 +199,23 @@ class TestQuadratureOracle:
         nodes = np.linspace(-default_config(s).truncation_window, 0.0, 2001)
         weights = np.full(nodes.size, nodes[1] - nodes[0])
         xs = np.linspace(-0.5 * CTX.velocity(K1) * t, s.mirror_position, 41)
-        whole = _panel_sum(s, xs, nodes, weights)
+        whole = _panel_sum(_kernel(s, xs), nodes, weights)
         monkeypatch.setattr(oracle, "_BLOCK_SIZE", 100)
-        blocked = _panel_sum(s, xs, nodes, weights)
+        blocked = _panel_sum(_kernel(s, xs), nodes, weights)
         assert np.abs(blocked - whole).max() <= 1e-13 * np.abs(whole).max()
+
+    def test_image_tails_completed(self):
+        # 1 cm/s beam, 0.8 cm/s mirror, 10 ms, W = 120 um: the stationary
+        # points of the image terms lie right of the tail, so every term is
+        # completed and the estimate stays finite and conservative
+        t = 10e-3
+        s = Scenario(CTX, K1, MirrorLaw.moving(0.008), t)
+        cfg = replace(default_config(s), truncation_window=120e-6)
+        xs = np.array([20e-6, 50e-6, 70e-6])
+        res = evolve_quadrature(s, cfg, xs)
+        err = np.abs(res.profile.densities - profile(s, xs).densities)
+        assert np.all(np.isfinite(res.truncation_estimate))
+        assert np.all(err <= res.truncation_estimate)
 
     def test_points_beyond_mirror_rejected(self):
         t = 5e-3

@@ -9,7 +9,6 @@ from mirrorwave.physics import (
     PhysicalContext,
     Scenario,
     UnknownUnitError,
-    beam_velocity,
     from_si,
     to_si,
 )
@@ -93,7 +92,7 @@ class TestScenario:
     def test_beam_velocity_inverse_of_definition(self):
         k = self.ctx.mass * 0.01 / self.ctx.hbar
         s = Scenario(self.ctx, k, MirrorLaw.sudden_removal(), 1e-3)
-        assert beam_velocity(s) == pytest.approx(0.01, rel=1e-15)
+        assert s.v_k == pytest.approx(0.01, rel=1e-15)
 
     def test_wavenumber_round_trip(self):
         # 87Rb at v_k = 1 cm/s with the documented constants
@@ -111,7 +110,7 @@ class TestScenario:
     @given(st.floats(min_value=1e3, max_value=1e9, allow_nan=False))
     def test_velocity_wavenumber_consistency(self, k):
         s = Scenario(self.ctx, k, MirrorLaw.sudden_removal(), 1e-3)
-        assert beam_velocity(s) * self.ctx.mass / self.ctx.hbar == pytest.approx(k, rel=1e-14)
+        assert s.v_k * self.ctx.mass / self.ctx.hbar == pytest.approx(k, rel=1e-14)
 
     def test_invariants(self):
         with pytest.raises(ValueError):

@@ -3,17 +3,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mirrorwave.specialfn import (
-    SQRT_PI,
     SpecialFunctionOverflow,
     cis,
     erfc_complex,
     faddeeva,
     fresnel,
-    fresnel_series,
-    gamma_half,
 )
 
-from .reference import erfc_ref, faddeeva_ref, fresnel_ref
+from .reference import erfc_ref, faddeeva_ref, fresnel_ref, fresnel_series
 
 complex_moderate = st.builds(
     complex,
@@ -44,7 +41,7 @@ class TestFaddeeva:
         assert abs(wp + wm - rhs) <= 1e-12 * scale
 
     def test_region_accuracy_against_multiprecision(self):
-        # spans Maclaurin / rational / continued-fraction regions and the
+        # spans Maclaurin / rational / scipy wofz regions and the
         # lower half-plane reflection, all four quadrants
         rng = np.random.default_rng(2024)
         r = 10 ** rng.uniform(-3, 3, 400)
@@ -150,27 +147,6 @@ class TestFresnel:
     def test_series_domain(self):
         with pytest.raises(ValueError):
             fresnel_series(3.5)
-
-
-class TestGammaHalf:
-    def test_base_cases(self):
-        assert gamma_half(0) == pytest.approx(SQRT_PI, rel=1e-15)
-        assert gamma_half(1) == pytest.approx(SQRT_PI / 2, rel=1e-15)
-
-    def test_recurrence_value(self):
-        # Gamma(5.5) = 945 sqrt(pi) / 32
-        assert gamma_half(5) == pytest.approx(945 * SQRT_PI / 32, rel=1e-14)
-        assert gamma_half(5) == pytest.approx(52.342777784553520, rel=1e-14)
-
-    def test_overflow_flagged(self):
-        with pytest.raises(OverflowError):
-            gamma_half(200)
-
-    def test_rejects_bad_input(self):
-        with pytest.raises(ValueError):
-            gamma_half(-1)
-        with pytest.raises(ValueError):
-            gamma_half(2.5)
 
 
 class TestCis:

@@ -10,14 +10,17 @@ from mirrorwave.waves import (
     moshinsky_asymptotic,
     moshinsky_m,
     moshinsky_z,
-    propagator_free,
-    propagator_moving_wall,
     psi_moving,
     psi_near_limit,
     psi_sudden,
 )
 
-from .reference import moshinsky_ref, spread_gaussian_ref
+from .reference import (
+    moshinsky_ref,
+    propagator_free,
+    propagator_moving_wall,
+    spread_gaussian_ref,
+)
 
 CTX = PhysicalContext()
 K1 = CTX.wavenumber(0.01)  # v_k = 1 cm/s
