@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import nullcontext
 from datetime import datetime, timezone
 
 import numpy as np
@@ -46,6 +47,8 @@ from .physics import (
 from .waves import critical_points, psi_moving
 
 FORMAT_VERSION = 1
+# CSV rows are formatted and written this many at a time, one `%` call per block
+_BLOCK_ROWS = 4096
 
 
 class _Parser(argparse.ArgumentParser):
@@ -62,20 +65,25 @@ def _fmt(value) -> str:
 
 
 def _write_table(path: str, command: str, params: dict, columns, rows) -> None:
-    lines = [f"# mirrorwave {command} (format_version = {FORMAT_VERSION})"]
     stamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
-    lines.append(f"# generated = {stamp}")
-    for key, value in params.items():
-        lines.append(f"# {key} = {_fmt(value)}")
-    lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(_fmt(float(v)) for v in row))
-    text = "\n".join(lines) + "\n"
-    if path == "-":
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    head = [
+        f"# mirrorwave {command} (format_version = {FORMAT_VERSION})",
+        f"# generated = {stamp}",
+    ]
+    head += [f"# {key} = {_fmt(value)}" for key, value in params.items()]
+    head.append(",".join(columns))
+    rows = np.asarray(rows, dtype=float)
+    # "%.12g" % x and f"{x:.12g}" give the same text for every float64
+    template = ",".join(["%.12g"] * rows.shape[1]) + "\n"
+    with nullcontext(sys.stdout) if path == "-" else open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(head) + "\n")
+        for start in range(0, len(rows), _BLOCK_ROWS):
+            block = rows[start : start + _BLOCK_ROWS]
+            fh.write(template * len(block) % tuple(block.ravel().tolist()))
+
+
+def _component_columns(wc) -> list:
+    return [np.abs(wc.m1) ** 2, np.abs(wc.m2) ** 2, np.abs(wc.m3) ** 2, np.abs(wc.m4) ** 2]
 
 
 def _context(args) -> PhysicalContext:
@@ -183,9 +191,8 @@ def cmd_profile(args) -> int:
     columns = ["x_um", "density"]
     cols = [from_si(xs, "um"), prof.densities]
     if args.components and prof.components is not None:
-        wc = prof.components
         columns += ["m1_abs2", "m2_abs2", "m3_abs2", "m4_abs2"]
-        cols += [np.abs(wc.m1) ** 2, np.abs(wc.m2) ** 2, np.abs(wc.m3) ** 2, np.abs(wc.m4) ** 2]
+        cols += _component_columns(prof.components)
     _write_table(args.out, "profile", params, columns, np.column_stack(cols))
     return 0
 
@@ -197,16 +204,7 @@ def cmd_components(args) -> int:
     params = _scenario_params(s)
     params["points"] = len(xs)
     params["note"] = "component densities are formal values, forbidden region included"
-    rows = np.column_stack(
-        [
-            from_si(xs, "um"),
-            np.abs(wc.m1) ** 2,
-            np.abs(wc.m2) ** 2,
-            np.abs(wc.m3) ** 2,
-            np.abs(wc.m4) ** 2,
-            np.abs(wc.psi) ** 2,
-        ]
-    )
+    rows = np.column_stack([from_si(xs, "um"), *_component_columns(wc), np.abs(wc.psi) ** 2])
     _write_table(
         args.out,
         "components",

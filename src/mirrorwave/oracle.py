@@ -103,15 +103,9 @@ class OracleConfig:
             raise ValueError("comparison_window must satisfy x_lo < x_hi")
 
 
-def _mirror_speed(scenario: Scenario) -> float:
-    if scenario.mirror.kind is MirrorKind.MOVING:
-        return scenario.mirror_velocity
-    if scenario.mirror.kind is MirrorKind.STATIC:
-        return 0.0
-    raise OracleConfigError(
-        "the grid oracle requires a wall (static or moving mirror); "
-        "validate sudden removal with the quadrature oracle"
-    )
+def _wall_speed(scenario: Scenario) -> float:
+    """Lab-frame wall speed: v for a moving mirror, 0 for a static or removed one."""
+    return scenario.mirror_velocity if scenario.mirror.kind is MirrorKind.MOVING else 0.0
 
 
 def _occupied_omega(scenario: Scenario, v: float) -> float:
@@ -134,7 +128,7 @@ def validate_config(scenario: Scenario, config: OracleConfig) -> None:
         raise OracleConfigError("oracle evolution requires scenario.time > 0")
     ctx = scenario.context
     t = scenario.time
-    v = _mirror_speed(scenario) if scenario.mirror.kind is not MirrorKind.SUDDEN_REMOVAL else 0.0
+    v = _wall_speed(scenario)
     spread = math.sqrt(ctx.hbar * t / ctx.mass)
     x_lo, x_hi = config.comparison_window
     reach = (scenario.v_k + abs(v)) * t + 10.0 * spread
@@ -165,11 +159,17 @@ def default_config(scenario: Scenario, comparison_window: tuple | None = None) -
     if t <= 0:
         raise OracleConfigError("oracle evolution requires scenario.time > 0")
     kind = scenario.mirror.kind
-    v = scenario.mirror_velocity if kind is MirrorKind.MOVING else 0.0
+    v = _wall_speed(scenario)
     v_k = scenario.v_k
     spread = math.sqrt(ctx.hbar * t / ctx.mass)
     if comparison_window is None:
         if kind is MirrorKind.MOVING:
+            if v <= -0.5 * v_k:
+                raise OracleConfigError(
+                    f"a mirror approaching at v <= -v_k/2 (v = {v:.6g} m/s, v_k = {v_k:.6g} m/s)"
+                    " leaves the default comparison window (-v_k t/2, v t) empty; give"
+                    " comparison_window (CLI: --window-lo and --window-hi) with x_hi <= v t"
+                )
             comparison_window = (-0.5 * v_k * t, v * t)
         elif kind is MirrorKind.STATIC:
             comparison_window = (-(v_k * t + 20.0 * spread), 0.0)
@@ -225,11 +225,16 @@ def evolve_grid(scenario: Scenario, config: OracleConfig) -> DensityProfile:
     evolved state is checked in real space, after the inverse transform:
     drift beyond 1e-8 from the initial state raises ``OracleNumericalError``.
     """
+    if scenario.mirror.kind is MirrorKind.SUDDEN_REMOVAL:
+        raise OracleConfigError(
+            "the grid oracle requires a wall (static or moving mirror); "
+            "validate sudden removal with the quadrature oracle"
+        )
     validate_config(scenario, config)
     ctx = scenario.context
     hbar, m = ctx.hbar, ctx.mass
     t = scenario.time
-    v = _mirror_speed(scenario)
+    v = _wall_speed(scenario)
     k = scenario.k
 
     half_periods = math.ceil(config.domain_length * k / np.pi)
@@ -311,10 +316,11 @@ def _kernel(scenario: Scenario, xs) -> _Kernel:
     t = scenario.time
     alpha = m / (2.0 * hbar * t)
     pref = np.sqrt(m / (2.0 * np.pi * hbar * t)) * np.exp(-0.25j * np.pi)
+    v = _wall_speed(scenario)
     if scenario.mirror.kind is MirrorKind.SUDDEN_REMOVAL:
-        v, modes = 0.0, ((-1, 1.0),)
+        modes = ((-1, 1.0),)
     else:
-        v, modes = _mirror_speed(scenario), ((-1, 1.0), (1, -1.0))
+        modes = ((-1, 1.0), (1, -1.0))
     z = xs - v * t
     row = pref * _boost(xs, t, v, ctx) * np.exp(1j * alpha * z * z)
     return _Kernel(alpha, v, m * v / hbar, scenario.k, z, row, modes)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mirrorwave.cli import main
+from mirrorwave.cli import _BLOCK_ROWS, _write_table, main
 
 
 def read_table(path):
@@ -84,6 +84,46 @@ class TestProfileCommand:
         assert main(args.split() + [str(a)]) == 0
         assert main(args.split() + [str(b)]) == 0
         assert strip_timestamp(a.read_text()) == strip_timestamp(b.read_text())
+
+
+class TestWriteTable:
+    def data_lines(self, path):
+        return [l for l in path.read_text().split("\n") if not l.startswith("#")][1:]
+
+    def test_cells_match_per_cell_format(self, tmp_path):
+        rows = np.array(
+            [
+                [0.0, -0.0, 1e-300, -1e-300],
+                [5e-324, -5e-324, 1e16, -1e16],
+                [123456789012.5, -123456789012.5, -2.5e-7, 1.0 / 3.0],
+            ]
+        )
+        bits = np.random.default_rng(11).integers(0, 2**64, 4000, dtype=np.uint64)
+        doubles = bits.view(np.float64)
+        rows = np.vstack([rows, doubles[np.isfinite(doubles)][:3600].reshape(-1, 4)])
+        out = tmp_path / "t.csv"
+        _write_table(str(out), "test", {"x": 0.5}, ["a", "b", "c", "d"], rows)
+        expected = [",".join(f"{v:.12g}" for v in row) for row in rows.tolist()] + [""]
+        assert self.data_lines(out) == expected
+
+    @pytest.mark.parametrize("n", [1, _BLOCK_ROWS, _BLOCK_ROWS + 1])
+    def test_row_count_across_block_edges(self, tmp_path, n):
+        out = tmp_path / "n.csv"
+        rows = np.column_stack([np.arange(n, dtype=float), -np.arange(n, dtype=float)])
+        _write_table(str(out), "test", {}, ["i", "minus_i"], rows)
+        text = out.read_text()
+        assert text.endswith("\n") and "\n\n" not in text
+        lines = self.data_lines(out)
+        assert lines[-1] == "" and len(lines) == n + 1
+        assert lines[0] == "0,-0" and lines[n - 1] == f"{n - 1},-{n - 1}"
+
+    def test_stdout_matches_file(self, tmp_path, capsys):
+        out = tmp_path / "p.csv"
+        args = "profile --vk 1.0 --v 0.8 --t 10 --points 5000 --components --out".split()
+        assert main(args + [str(out)]) == 0
+        capsys.readouterr()
+        assert main(args + ["-"]) == 0
+        assert strip_timestamp(capsys.readouterr().out) == strip_timestamp(out.read_text())
 
 
 class TestComponentsCommand:
@@ -205,3 +245,12 @@ class TestOracleCommand:
         assert rc == 1
         err = capsys.readouterr().err
         assert "need domain_length" in err
+
+    def test_fast_approaching_mirror_exit_1(self, tmp_path, capsys):
+        rc = main(
+            "oracle --vk 1.0 --v -0.6 --t 5 --oracle grid --tolerance 1e-3 --out".split()
+            + [str(tmp_path / "x.csv")]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "v <= -v_k/2" in err and "--window-lo and --window-hi" in err

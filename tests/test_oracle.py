@@ -44,6 +44,17 @@ class TestConfigGuards:
             default_cfg = default_config(s)
             evolve_grid(s, replace(default_cfg, comparison_window=(-1e-5, 1e-3)))
 
+    @pytest.mark.parametrize("v", [-0.005, -0.006])
+    def test_fast_approaching_mirror_has_no_default_window(self, v):
+        # v <= -v_k/2 puts the mirror at or left of -v_k t/2, the default window's left edge
+        s = Scenario(CTX, K1, MirrorLaw.moving(v), 5e-3)
+        with pytest.raises(
+            OracleConfigError, match=r"v <= -v_k/2.*comparison_window \(CLI: --window-lo"
+        ):
+            default_config(s)
+        cfg = default_config(s, comparison_window=(-60e-6, v * 5e-3))
+        assert cfg.comparison_window == (-60e-6, v * 5e-3)
+
     def test_sudden_removal_needs_quadrature(self):
         s = Scenario(CTX, K1, MirrorLaw.sudden_removal(), 2e-3)
         cfg = default_config(s)
