@@ -47,7 +47,6 @@ from .physics import (
 )
 from .specialfn import (
     SpecialFunctionOverflow,
-    erfc_complex,
     faddeeva,
     fresnel,
 )

@@ -24,15 +24,19 @@ Two oracles, deliberately different from the closed-form route:
 ``evolve_quadrature``
     Direct panel quadrature of the superposition integral over the
     truncated initial support [-W, 0] with the free or moving-wall
-    propagator.  Panels are sized so the integrand phase varies at most
-    pi/4 per panel (Gauss-Legendre, 8 nodes).  The integrand is factored
-    once (``_Kernel``) into a row phase, exponentials e^{+-2i alpha z x'}
-    of the mirror-frame point z = x - v t, and a column phase.  The panel
-    sum reads the exponentials as a real trigonometric matrix, so it is a
-    sum of real matrix products over cache-sized blocks of points and
-    nodes.  The discarded tail (-inf, -W] of the semi-infinite beam
-    decays only algebraically (a hard-edge diffraction tail ~ 1/distance),
-    far too slowly for simple truncation at any feasible W.  The same
+    propagator.  Panels are equal and sized so the integrand phase varies
+    at most pi/4 per panel (Gauss-Legendre, 8 nodes).  The integrand is
+    factored once (``_Kernel``) into a row phase, exponentials
+    e^{+-2i alpha z x'} of the mirror-frame point z = x - v t, and a
+    column phase.  The panel sum splits every node into the left edge of
+    its group of 32 panels plus an offset within the group, and each phase
+    into the matching two parts (two-level angle addition), so it
+    evaluates trig per (point, group) and per (point, offset) but none per
+    (point, node); the rest is real matrix products over cache-sized
+    blocks of points and groups.  The discarded tail (-inf, -W] of the
+    semi-infinite beam decays only algebraically (a hard-edge diffraction
+    tail ~ 1/distance), far too slowly for simple truncation at any
+    feasible W.  The same
     factors expand there into quadratic-phase terms
     e^{i(alpha x'^2 + kappa x')}, each completed by the exact
     integration-by-parts series of the non-stationary oscillatory
@@ -48,7 +52,7 @@ stay in the accurate regime.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -59,10 +63,13 @@ from .physics import MirrorKind, Scenario
 from .waves import _boost, critical_points, initial_state
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
-# the panel sum works through (rows x nodes) blocks of at most _BLOCK_SIZE
-# doubles (1 MiB), small enough to stay in a core's L2 cache, so its work
-# buffer does not grow with the panel count
-_BLOCK_SIZE = 1 << 17
+# the panel sum takes the panels in groups of _GROUP (256 nodes), so its
+# trig runs per (point, group) and per (point, node offset in a group)
+_GROUP = 32
+# the panel sum works through blocks of rows and groups in work buffers of
+# at most _BLOCK_SIZE doubles (512 KiB) each, small enough to stay in a
+# core's L2 cache, so its work memory does not grow with the panel count
+_BLOCK_SIZE = 1 << 16
 # at most this many integration-by-parts terms per tail completion
 _TAIL_TERMS = 4
 
@@ -346,46 +353,90 @@ def _tail_series(alpha, kappa, b):
         term = nxt
 
 
-def _panel_sum(kern: _Kernel, nodes, weights):
-    """Quadrature sum_j K(x_i, x'_j) w_j psi_0(x'_j) of the superposition integral.
+def _panel_sum(kern: _Kernel, w_len: float, n_panels: int):
+    """Gauss-Legendre sum of the superposition integral over [-W, 0].
 
+    The support is cut into ``n_panels`` equal panels of 8 nodes each.
     sum_s a_s e^{i s theta} = (sum_s a_s) cos(theta) + i (sum_s s a_s) sin(theta)
-    with theta = 2 alpha z_i x'_j, so the sum is row_i times real
-    trigonometric matrices applied to the column factors
-    w_j e^{i(alpha x'^2 - beta x')} 2i sin(k x'): sin alone for the
-    moving wall, cos and sin for the free kernel.  Each block of rows and
-    nodes is evaluated in one preallocated real buffer of at most
-    ``_BLOCK_SIZE`` doubles.
-    """
-    alpha = kern.alpha
-    col = weights * 2j * np.sin(kern.k * nodes)
-    col = col * np.exp(1j * (alpha * nodes * nodes - kern.beta * nodes))
-    cols = np.stack([col.real, col.imag], axis=1)
-    coefs = (
-        (np.cos, sum(a for _, a in kern.modes)),
-        (np.sin, 1j * sum(s * a for s, a in kern.modes)),
-    )
-    terms = [(trig, c) for trig, c in coefs if c != 0]
+    with theta = 2 alpha z_i x', applied to the column factors
+    w e^{i(alpha x'^2 - beta x')} 2i sin(k x').  Two-level angle addition
+    keeps trig off the (row, node) pairs: the panels are taken in groups of
+    ``_GROUP``, every node is x' = base_b + o with base_b the left edge of
+    its group and o one of the group's node offsets, and
 
-    z = kern.z
-    psi = np.empty(z.shape, dtype=complex)
-    rows = min(z.size, math.isqrt(_BLOCK_SIZE))
-    width = max(1, _BLOCK_SIZE // rows)
-    buf = np.empty(rows * min(width, nodes.size))
-    for i0 in range(0, z.size, rows):
-        zi = 2.0 * alpha * z[i0 : i0 + rows]
-        acc = 0.0
-        for trig, c in terms:
-            re_im = np.zeros((zi.size, 2))
-            for j0 in range(0, nodes.size, width):
-                xj = nodes[j0 : j0 + width]
-                b = buf[: zi.size * xj.size].reshape(zi.size, xj.size)
-                np.multiply.outer(zi, xj, out=b)
-                trig(b, out=b)
-                re_im += b @ cols[j0 : j0 + width]
-            acc = acc + c * (re_im[:, 0] + 1j * re_im[:, 1])
-        psi[i0 : i0 + rows] = kern.row[i0 : i0 + rows] * acc
-    return psi
+        cos(G + O) = cos G cos O - sin G sin O,
+        sin(G + O) = sin G cos O + cos G sin O,
+
+    with G = 2 alpha z_i base_b and O = 2 alpha z_i o.  The offset sums
+    sum_o {cos, sin}(O) col are one real matrix product per block, and the
+    group sum is a row-wise dot with cos G and sin G, so trig runs on
+    rows x (groups + offsets) instead of rows x nodes.  The column phase
+    splits the same way, into alpha b^2 - beta b per group and
+    (2 alpha b - beta) o + alpha o^2 per node.  Each factor is evaluated
+    directly from its own phase (no recurrence), so no rounding
+    accumulates.  Rows and groups are worked in blocks, in preallocated
+    buffers of at most ``_BLOCK_SIZE`` doubles each; the nodes past the
+    last panel, in the last group, carry zero weight.
+    """
+    alpha, k, beta = kern.alpha, kern.k, kern.beta
+    c_cos = sum(a for _, a in kern.modes)
+    c_sin = 1j * sum(s * a for s, a in kern.modes)
+    halfw = 0.5 * w_len / n_panels
+    n_gl = _GL_NODES.size
+    n_off = _GROUP * n_gl
+    offs = (halfw * (2.0 * np.arange(_GROUP)[:, None] + 1.0 + _GL_NODES)).ravel()
+    alpha_o2 = (alpha * offs * offs)[:, None]
+    wts = np.tile(halfw * _GL_WEIGHTS, _GROUP)[:, None]
+    n_groups = -(-n_panels // _GROUP)
+    base = -w_len + 2.0 * _GROUP * halfw * np.arange(n_groups)
+    z2 = 2.0 * alpha * kern.z
+
+    per = max(1, _BLOCK_SIZE // (2 * n_off))
+    rows, groups = min(z2.size, per), min(n_groups, per)
+    ph_buf = np.empty(n_off * groups)
+    col_buf = np.empty(n_off * groups, dtype=complex)
+    trig_buf = np.empty(2 * rows * n_off)
+    prod_buf = np.empty(4 * rows * groups)
+    cs_buf = np.empty(2 * rows * groups)
+    acc = np.zeros(z2.size, dtype=complex)
+    for b0 in range(0, n_groups, groups):
+        gb = base[b0 : b0 + groups]
+        nb = gb.size
+        ph = ph_buf[: n_off * nb].reshape(n_off, nb)
+        col = col_buf[: n_off * nb].reshape(n_off, nb)
+        # column factors w e^{i(alpha x'^2 - beta x')} 2i sin(k x')
+        np.multiply.outer(offs, 2.0 * alpha * gb - beta, out=ph)
+        ph += alpha_o2
+        np.cos(ph, out=col.real)
+        np.sin(ph, out=col.imag)
+        col *= 2j * np.exp(1j * gb * (alpha * gb - beta))
+        np.add.outer(offs, gb, out=ph)
+        ph *= k
+        np.sin(ph, out=ph)
+        ph *= wts
+        col *= ph
+        if b0 + nb == n_groups:
+            col[(n_panels - (n_groups - 1) * _GROUP) * n_gl :, nb - 1] = 0.0
+        for i0 in range(0, z2.size, rows):
+            zi = z2[i0 : i0 + rows]
+            r = zi.size
+            # cos O stacked over sin O, then sum_o {cos, sin}(O) col as
+            # (cos/sin, row, group, re/im)
+            trig = trig_buf[: 2 * r * n_off].reshape(2 * r, n_off)
+            np.multiply.outer(zi, offs, out=trig[:r])
+            np.sin(trig[:r], out=trig[r:])
+            np.cos(trig[:r], out=trig[:r])
+            prod = prod_buf[: 4 * r * nb].reshape(2 * r, 2 * nb)
+            np.matmul(trig, col.view(float), out=prod)
+            cs = cs_buf[: 2 * r * nb].reshape(2, r, nb)
+            np.multiply.outer(zi, gb, out=cs[0])
+            np.sin(cs[0], out=cs[1])
+            np.cos(cs[0], out=cs[0])
+            # m[j, q, i] = sum_b {cos, sin}_j(G) sum_o {cos, sin}_q(O) col
+            m = np.matmul(cs[:, None, :, None, :], prod.reshape(1, 2, r, nb, 2))
+            m = m[..., 0, 0] + 1j * m[..., 0, 1]
+            acc[i0 : i0 + r] += c_cos * (m[0, 0] - m[1, 1]) + c_sin * (m[1, 0] + m[0, 1])
+    return kern.row * acc
 
 
 def evolve_quadrature(
@@ -401,7 +452,8 @@ def evolve_quadrature(
     -W, both read from one factorization of the integrand (``_Kernel``).  The
     reported per-point truncation estimate is the first neglected
     completion term (conservative for this alternating-type series);
-    points whose estimate exceeds ``tolerance`` flag the result.
+    points whose estimate exceeds ``tolerance`` flag the result.  Points
+    beyond a static or moving mirror raise ``OracleConfigError``.
     """
     if scenario.time <= 0:
         raise OracleConfigError("oracle evolution requires scenario.time > 0")
@@ -412,8 +464,8 @@ def evolve_quadrature(
     xs = np.asarray(xs, dtype=float)
     spread = math.sqrt(hbar * t / m)
 
-    if scenario.mirror.kind is MirrorKind.MOVING and np.any(
-        xs > scenario.mirror_velocity * t
+    if scenario.mirror.kind is not MirrorKind.SUDDEN_REMOVAL and np.any(
+        xs > _wall_speed(scenario) * t
     ):
         raise OracleConfigError("evaluation points must not lie beyond the mirror")
 
@@ -428,12 +480,7 @@ def evolve_quadrature(
         dphi_max = 2.0 * alpha * (max_off + w_len) + kap_max
         h = (np.pi / 4.0) / dphi_max
         n_panels = max(int(math.ceil(w_len / h)), 1)
-        edges = np.linspace(-w_len, 0.0, n_panels + 1)
-        mid = 0.5 * (edges[:-1] + edges[1:])
-        halfw = 0.5 * (edges[1] - edges[0])
-        nodes = (mid[:, None] + halfw * _GL_NODES[None, :]).ravel()
-        weights = np.broadcast_to(halfw * _GL_WEIGHTS, (n_panels, _GL_NODES.size)).ravel()
-        psi = _panel_sum(kern, nodes, weights)
+        psi = _panel_sum(kern, w_len, n_panels)
 
         # completion of the (-inf, -W] tail: the factored integrand expands
         # into terms row_i * c * e^{i(alpha x'^2 + kappa x')} with
@@ -452,10 +499,14 @@ def evolve_quadrature(
                     psi[i] += ri * c * val
                     est_amp[i] += abs(ri * c) * neglected
 
-        # round-off floor of the panel sum: each node carries a phase of up
-        # to alpha*(|x|+W)**2 + kappa*W radians whose double rounding maps
-        # into amplitude error; without this floor the completion term alone
-        # would understate the achievable accuracy
+        # round-off floor of the panel sum: it assembles each node's phase
+        # from per-group parts, whose magnitudes add up to at most
+        # alpha*(|x|+W)**2 + kappa*W radians, and per-offset parts of a few
+        # tens of radians; each part carries a rounding error of order eps
+        # times its own magnitude, so a node's phase error stays within
+        # about eps times that bound, as when the phase was formed per node,
+        # and maps into amplitude error; without this floor the completion
+        # term alone would understate the achievable accuracy
         phase_max = alpha * (max_off + w_len) ** 2 + kap_max * w_len
         abs_kernel_mass = 2.0 * np.sqrt(m / (2.0 * np.pi * hbar * t)) * w_len
         n_terms = 2 * len(kern.modes)
@@ -546,13 +597,4 @@ def compare(a: DensityProfile, b: DensityProfile) -> ComparisonReport:
         )
     return ComparisonReport(
         max_abs_err=max_abs, rms_err=rms, regions=tuple(regions), report="\n".join(lines)
-    )
-
-
-def refine(config: OracleConfig, factor: int = 2) -> OracleConfig:
-    """Halve the step and double the grid; used by convergence studies."""
-    return replace(
-        config,
-        grid_points=config.grid_points * factor,
-        time_step=config.time_step / factor,
     )

@@ -1,10 +1,9 @@
 """High-accuracy complex special-function kernels.
 
-Three kernels back every wave solution in this package:
+Two kernels back every wave solution in this package:
 
 * ``faddeeva`` -- the scaled complex complementary error function
   w(z) = exp(-z**2) * erfc(-i*z),
-* ``erfc_complex`` -- erfc of a complex argument, derived from w,
 * ``fresnel`` -- the Fresnel integrals C and S (C(inf) = S(inf) = 1/2).
 
 w(z) is evaluated with a region scheme (radii tuned against an
@@ -173,34 +172,6 @@ def faddeeva(z):
         zl = zf[lower]
         out[lower] = _reflection_exp(zl) - _w_upper(-zl)
     return complex(out[0]) if scalar else out.reshape(za.shape)
-
-
-def erfc_complex(z):
-    """Complementary error function erfc(z) for complex z.
-
-    Built on the Faddeeva function through erfc(z) = exp(-z**2) * w(i*z)
-    for Re z >= 0 and erfc(z) = 2 - erfc(-z) otherwise (the reflection
-    avoids forming exp(-z**2)*exp(+z**2) pairs that would over/underflow
-    separately).
-    """
-    za = np.asarray(z, dtype=complex)
-    scalar = za.ndim == 0
-    zf = np.atleast_1d(za).copy()
-    if not np.all(np.isfinite(zf)):
-        raise ValueError("erfc_complex requires finite arguments")
-    neg = zf.real < 0.0
-    zf[neg] = -zf[neg]
-    # now Re zf >= 0, so i*zf lies in the upper half-plane
-    x = np.asarray(zf.real, dtype=np.longdouble)
-    y = np.asarray(zf.imag, dtype=np.longdouble)
-    growth = (y * y - x * x).astype(np.float64)  # Re(-z**2)
-    if np.any(growth > _EXP_OVERFLOW):
-        raise SpecialFunctionOverflow(
-            "exp(-z**2) overflows in erfc for large |Im z|"
-        )
-    val = np.exp(growth) * cis(-2.0 * x * y) * _w_upper(1j * zf)
-    val[neg] = 2.0 - val[neg]
-    return complex(val[0]) if scalar else val.reshape(za.shape)
 
 
 def fresnel(theta):

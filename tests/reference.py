@@ -6,16 +6,20 @@ kept deliberately separate from the package's own algorithms, the
 Fresnel power series, plus the straightforward forms of the numerical
 oracles' inner loops (the stepped Crank-Nicolson product and the
 unfactored free and moving-wall propagators) that the library replaces
-with closed-form and factored equivalents.
+with closed-form and factored equivalents.  It also holds helpers only
+the tests use: erfc of a complex argument built on the package's
+Faddeeva kernel, and the grid-oracle refinement step of convergence
+studies.
 """
 
 import math
+from dataclasses import replace
 
 import mpmath as mp
 import numpy as np
 from scipy.fft import dst, idst
 
-from mirrorwave.specialfn import cis
+from mirrorwave.specialfn import _EXP_OVERFLOW, SpecialFunctionOverflow, _w_upper, cis
 
 mp.mp.dps = 30
 
@@ -174,3 +178,40 @@ def fresnel_series(theta):
         if n > 200:  # unreachable for |theta| <= 3
             raise RuntimeError("fresnel series failed to converge")
     return th * c_sum, u * th * s_sum
+
+
+def erfc_complex(z):
+    """Complementary error function erfc(z) for complex z.
+
+    Built on the Faddeeva function through erfc(z) = exp(-z**2) * w(i*z)
+    for Re z >= 0 and erfc(z) = 2 - erfc(-z) otherwise (the reflection
+    avoids forming exp(-z**2)*exp(+z**2) pairs that would over/underflow
+    separately).
+    """
+    za = np.asarray(z, dtype=complex)
+    scalar = za.ndim == 0
+    zf = np.atleast_1d(za).copy()
+    if not np.all(np.isfinite(zf)):
+        raise ValueError("erfc_complex requires finite arguments")
+    neg = zf.real < 0.0
+    zf[neg] = -zf[neg]
+    # now Re zf >= 0, so i*zf lies in the upper half-plane
+    x = np.asarray(zf.real, dtype=np.longdouble)
+    y = np.asarray(zf.imag, dtype=np.longdouble)
+    growth = (y * y - x * x).astype(np.float64)  # Re(-z**2)
+    if np.any(growth > _EXP_OVERFLOW):
+        raise SpecialFunctionOverflow(
+            "exp(-z**2) overflows in erfc for large |Im z|"
+        )
+    val = np.exp(growth) * cis(-2.0 * x * y) * _w_upper(1j * zf)
+    val[neg] = 2.0 - val[neg]
+    return complex(val[0]) if scalar else val.reshape(za.shape)
+
+
+def refine(config, factor: int = 2):
+    """Halve the step and double the grid; used by convergence studies."""
+    return replace(
+        config,
+        grid_points=config.grid_points * factor,
+        time_step=config.time_step / factor,
+    )

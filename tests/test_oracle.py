@@ -13,7 +13,6 @@ from mirrorwave.oracle import (
     default_config,
     evolve_grid,
     evolve_quadrature,
-    refine,
 )
 from mirrorwave.physics import MirrorKind, MirrorLaw, PhysicalContext, Scenario
 
@@ -21,6 +20,15 @@ from . import reference
 
 CTX = PhysicalContext()
 K1 = CTX.wavenumber(0.01)
+
+
+def _gl_panels(w_len, n_panels):
+    """Nodes and weights of 8-point Gauss-Legendre on n_panels equal panels of [-W, 0]."""
+    gl_nodes, gl_weights = np.polynomial.legendre.leggauss(8)
+    halfw = 0.5 * w_len / n_panels
+    mid = -w_len + halfw * (2.0 * np.arange(n_panels) + 1.0)
+    nodes = (mid[:, None] + halfw * gl_nodes[None, :]).ravel()
+    return nodes, np.tile(halfw * gl_weights, n_panels)
 
 
 class TestConfigGuards:
@@ -108,7 +116,7 @@ class TestGridOracle:
         for _ in range(3):
             prof = evolve_grid(s, cfg)
             errs.append(compare(prof, profile(s, prof.xs)).max_abs_err)
-            cfg = refine(cfg)
+            cfg = reference.refine(cfg)
         for coarse, fine in zip(errs, errs[1:]):
             if coarse > 1e-4:
                 assert coarse / fine >= 2.0
@@ -185,11 +193,12 @@ class TestQuadratureOracle:
         ids=["receding", "approaching", "sudden"],
     )
     def test_factored_kernel_matches_unfactored(self, law):
+        # 2500 panels = 78 groups of 32 and a partial group of 4
         t = 5e-3
         s = Scenario(CTX, K1, law, t)
         w_len = default_config(s).truncation_window
-        nodes = np.linspace(-w_len, 0.0, 20001)
-        weights = np.full(nodes.size, nodes[1] - nodes[0])
+        n_panels = 2500
+        nodes, weights = _gl_panels(w_len, n_panels)
         x_hi = s.mirror_position if law.kind is MirrorKind.MOVING else 0.005 * t
         xs = np.linspace(-0.5 * CTX.velocity(K1) * t, x_hi, 41)
         if law.kind is MirrorKind.MOVING:
@@ -199,21 +208,43 @@ class TestQuadratureOracle:
         else:
             kern = reference.propagator_free(xs[:, None], t, nodes[None, :], 0.0, CTX)
         want = kern @ (weights * 2j * np.sin(K1 * nodes))
-        got = _panel_sum(_kernel(s, xs), nodes, weights)
+        got = _panel_sum(_kernel(s, xs), w_len, n_panels)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_blocked_panel_sum_matches_single_block(self, monkeypatch):
-        # 41 rows x 2001 nodes fit one default block; 10-row x 10-node
-        # blocks leave ragged last blocks in both directions
+        # 41 rows x 250 panels (7 groups of 32 and a partial group of 26)
+        # fit one default block; buffers of 1536 doubles hold 3 rows x 3
+        # groups, which leaves ragged last blocks in both directions
         t = 5e-3
         s = Scenario(CTX, K1, MirrorLaw.moving(0.005), t)
-        nodes = np.linspace(-default_config(s).truncation_window, 0.0, 2001)
-        weights = np.full(nodes.size, nodes[1] - nodes[0])
+        w_len = default_config(s).truncation_window
         xs = np.linspace(-0.5 * CTX.velocity(K1) * t, s.mirror_position, 41)
-        whole = _panel_sum(_kernel(s, xs), nodes, weights)
-        monkeypatch.setattr(oracle, "_BLOCK_SIZE", 100)
-        blocked = _panel_sum(_kernel(s, xs), nodes, weights)
+        whole = _panel_sum(_kernel(s, xs), w_len, 250)
+        monkeypatch.setattr(oracle, "_BLOCK_SIZE", 1536)
+        blocked = _panel_sum(_kernel(s, xs), w_len, 250)
         assert np.abs(blocked - whole).max() <= 1e-13 * np.abs(whole).max()
+
+    @pytest.mark.parametrize(
+        "law",
+        [
+            MirrorLaw.moving(0.005),
+            MirrorLaw.moving(-0.004),
+            MirrorLaw.moving(0.013),
+            MirrorLaw.static(),
+            MirrorLaw.sudden_removal(),
+        ],
+        ids=["receding", "approaching", "fast", "static", "sudden"],
+    )
+    def test_matches_closed_form_to_roundoff(self, law):
+        # default-config cases, 301 points: the node phases reach ~1e4 rad,
+        # and assembling them by angle addition keeps the density within
+        # round-off of the closed form
+        t = 5e-3
+        s = Scenario(CTX, K1, law, t)
+        cfg = default_config(s)
+        xs = np.linspace(*cfg.comparison_window, 301)
+        res = evolve_quadrature(s, cfg, xs)
+        assert np.abs(res.profile.densities - profile(s, xs).densities).max() <= 3e-12
 
     def test_image_tails_completed(self):
         # 1 cm/s beam, 0.8 cm/s mirror, 10 ms, W = 120 um: the stationary
@@ -233,6 +264,16 @@ class TestQuadratureOracle:
         s = Scenario(CTX, K1, MirrorLaw.moving(0.005), t)
         with pytest.raises(OracleConfigError):
             evolve_quadrature(s, default_config(s), np.array([0.005 * t + 1e-5]))
+
+    def test_points_beyond_static_mirror_rejected(self):
+        # the static wall stands at x = 0, where the default window ends
+        s = Scenario(CTX, K1, MirrorLaw.static(), 2e-3)
+        cfg = default_config(s)
+        for x in (1e-6, 5e-6):
+            with pytest.raises(OracleConfigError, match="beyond the mirror"):
+                evolve_quadrature(s, cfg, np.array([x]))
+        res = evolve_quadrature(s, cfg, np.array([-1e-6, 0.0]))
+        assert res.profile.densities[1] == pytest.approx(0.0, abs=1e-9)
 
 
 class TestCompare:

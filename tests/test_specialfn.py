@@ -5,12 +5,11 @@ from hypothesis import given, settings, strategies as st
 from mirrorwave.specialfn import (
     SpecialFunctionOverflow,
     cis,
-    erfc_complex,
     faddeeva,
     fresnel,
 )
 
-from .reference import erfc_ref, faddeeva_ref, fresnel_ref, fresnel_series
+from .reference import erfc_complex, erfc_ref, faddeeva_ref, fresnel_ref, fresnel_series
 
 complex_moderate = st.builds(
     complex,
