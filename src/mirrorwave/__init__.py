@@ -56,9 +56,7 @@ from .waves import (
     classical_density,
     critical_points,
     initial_state,
-    moshinsky_asymptotic,
     moshinsky_m,
-    moshinsky_z,
     psi_moving,
     psi_near_limit,
     psi_sudden,

@@ -60,6 +60,17 @@ def cis(phi) -> np.ndarray:
     return np.cos(reduced) + 1j * np.sin(reduced)
 
 
+def _in_place(p):
+    """``out`` argument for an in-place complex product p * q, or None.
+
+    numpy runs an in-place complex product of a one-element array through
+    its scalar loop, which rounds without the fused multiply-add of the
+    vector loop; a single point therefore gets a fresh output, so every
+    element rounds alike whatever the size of its batch.
+    """
+    return p if p.size > 1 else None
+
+
 # --- Maclaurin region -------------------------------------------------------
 
 # 1 / Gamma(n/2 + 1) for n = 0..N; generated by the recurrence
@@ -82,9 +93,12 @@ def _w_taylor(z):
     iz = 1j * z
     acc = np.full(z.shape, _TAYLOR_INV_GAMMA[0], dtype=complex)
     p = np.ones_like(acc)
+    term = np.empty_like(acc)
+    out = _in_place(p)
     for n in range(1, _TAYLOR_TERMS + 1):
-        p = p * iz
-        acc += _TAYLOR_INV_GAMMA[n] * p
+        p = np.multiply(p, iz, out=out)
+        np.multiply(_TAYLOR_INV_GAMMA[n], p, out=term)
+        acc += term
     return acc
 
 
@@ -113,8 +127,10 @@ def _w_weideman(z):
     iz = 1j * z
     ratio = (big_l + iz) / (big_l - iz)
     p = np.zeros_like(z)
+    out = _in_place(p)
     for c in _WEIDEMAN_A:
-        p = p * ratio + c
+        p = np.multiply(p, ratio, out=out)
+        p += c
     return 2.0 * p / (big_l - iz) ** 2 + (1.0 / SQRT_PI) / (big_l - iz)
 
 
@@ -165,10 +181,12 @@ def faddeeva(z):
     if not np.all(np.isfinite(zf)):
         raise ValueError("faddeeva requires finite arguments")
     lower = zf.imag < 0.0
-    out = np.empty(zf.shape, dtype=complex)
-    if np.any(~lower):
-        out[~lower] = _w_upper(zf[~lower])
-    if np.any(lower):
+    if not lower.any():
+        out = _w_upper(zf)
+    else:
+        out = np.empty(zf.shape, dtype=complex)
+        upper = ~lower
+        out[upper] = _w_upper(zf[upper])
         zl = zf[lower]
         out[lower] = _reflection_exp(zl) - _w_upper(-zl)
     return complex(out[0]) if scalar else out.reshape(za.shape)

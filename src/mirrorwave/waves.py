@@ -19,13 +19,19 @@ the lower half-plane where w is evaluated through the reflection
 analytically to the plane wave exp(i(kx - hbar k**2 t/2m)), so M is
 computed as
 
-    M = plane_wave - exp(i phi1) * w(|z| ray) / 2      (u >= 0)
-    M =              exp(i phi1) * w(|z| ray) / 2      (u < 0)
+    M = plane_wave - chirp * w(|z| ray) / 2      (u >= 0)
+    M =              chirp * w(|z| ray) / 2      (u < 0),   chirp = exp(i m x**2/2 hbar t)
 
 with every phase assembled in extended precision (see specialfn.cis).
 This keeps M, and identities built from it, at the 1e-15 level even
 when the phases reach thousands of radians, where the naive
 exp(-z**2) route loses five digits to phase rounding.
+
+M has one definition, ``_moshinsky``, which takes the chirp from its
+caller and forms the plane wave only where u >= 0.  The chirp depends on
+x only through x**2, so each wavefunction builds it once and shares it
+bitwise between its terms at x and -x: ``psi_moving`` uses one chirp for
+all four terms, ``psi_sudden`` and ``psi_near_limit`` one for both.
 
 All functions are pure, accept scalars or numpy arrays for the spatial
 argument, and may be called concurrently.
@@ -52,87 +58,57 @@ def initial_state(x, k: float):
     return complex(val[()]) if val.ndim == 0 else val
 
 
-def moshinsky_z(x, k, t: float, context: PhysicalContext):
-    """Scaled argument z = (1+i)/2 sqrt(hbar t/m) (k - m x/(hbar t))."""
-    hbar, m = context.hbar, context.mass
-    u = np.asarray(k, dtype=float) - m * np.asarray(x, dtype=float) / (hbar * t)
-    return 0.5 * (1.0 + 1j) * np.sqrt(hbar * t / m) * u
+def _chirp(x, t: float, context: PhysicalContext):
+    """Free-evolution chirp e^{i m x^2/(2 hbar t)}, phase assembled in long double.
 
-
-def _phases(x, k, t, context):
-    """(phi_free, phi_plane) in long double: m x^2/(2 hbar t), kx - hbar k^2 t/(2m)."""
+    It depends on x only through x^2, so M(x, .) and M(-x, .) share it bitwise.
+    """
     hbar = np.longdouble(context.hbar)
     m = np.longdouble(context.mass)
     x_ld = np.asarray(x, dtype=np.longdouble)
-    k_ld = np.asarray(k, dtype=np.longdouble)
-    t_ld = np.longdouble(t)
-    phi_free = m * x_ld * x_ld / (2.0 * hbar * t_ld)
-    phi_plane = k_ld * x_ld - hbar * k_ld * k_ld * t_ld / (2.0 * m)
-    return phi_free, phi_plane
+    return cis(m * x_ld * x_ld / (2.0 * hbar * np.longdouble(t)))
+
+
+def _moshinsky(x, k, t: float, context: PhysicalContext, chirp):
+    """M(x, k, t) given ``chirp`` = _chirp(x, t); the single definition of M.
+
+    The result has the broadcast shape of x and k, a numpy scalar when
+    both are 0-d (scalar and array arithmetic round complex products
+    differently, so a 0-d input stays on the scalar path).
+    """
+    hbar, m = context.hbar, context.mass
+    u = k - m * x / (hbar * t)
+    # w is always evaluated on the arg = pi/4 ray (upper half-plane),
+    # where it is well conditioned; the lower-half reflection term is
+    # folded into the closed-form plane wave, formed only where u >= 0.
+    z_ray = 0.5 * (1.0 + 1j) * np.sqrt(hbar * t / m) * np.abs(u)
+    val = np.atleast_1d(0.5 * chirp * faddeeva(z_ray))
+    lit = np.atleast_1d(u >= 0.0)
+    x_ld = np.broadcast_to(x, lit.shape)[lit].astype(np.longdouble)
+    k_ld = np.broadcast_to(k, lit.shape)[lit].astype(np.longdouble)
+    hbar_ld, m_ld = np.longdouble(hbar), np.longdouble(m)
+    phi_plane = k_ld * x_ld - hbar_ld * k_ld * k_ld * np.longdouble(t) / (2.0 * m_ld)
+    val[lit] = cis(phi_plane) - val[lit]
+    return val.reshape(np.shape(u))[()]
 
 
 def moshinsky_m(x, k, t: float, context: PhysicalContext):
     """Moshinsky function M(x, k, t); finite for all finite inputs, t > 0."""
     if not t > 0.0:
         raise ValueError("moshinsky_m requires t > 0")
-    hbar, m = context.hbar, context.mass
     xa = np.asarray(x, dtype=float)
-    ka = np.asarray(k, dtype=float)
-    u = ka - m * xa / (hbar * t)
-    # w is always evaluated on the arg = pi/4 ray (upper half-plane),
-    # where it is well conditioned; the lower-half reflection term is
-    # folded into the closed-form plane wave below.
-    z_ray = 0.5 * (1.0 + 1j) * np.sqrt(hbar * t / m) * np.abs(u)
-    w_ray = faddeeva(z_ray)
-    phi_free, phi_plane = _phases(xa, ka, t, context)
-    half_tail = 0.5 * cis(phi_free) * w_ray
-    val = np.where(u >= 0.0, cis(phi_plane) - half_tail, half_tail)
-    return complex(val[()]) if val.ndim == 0 else val
-
-
-def moshinsky_asymptotic(x, k, t: float, context: PhysicalContext, n_max: int):
-    """Large-|z| expansion of M: plane wave (classical side only) plus
-    the inverse-power series sum_n Gamma(n+1/2) / z**(2n+1) / (2 pi i).
-
-    The series is truncated at min(n_max, floor(|z|**2)), the
-    superasymptotic optimum, so the divergent tail is never summed.
-    Returns ``(value, in_classical_region)``.  Requires |z| >= 2
-    everywhere; below that the expansion is unreliable and a ValueError
-    is raised.
-    """
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
-    if not t > 0.0:
-        raise ValueError("moshinsky_asymptotic requires t > 0")
-    hbar, m = context.hbar, context.mass
-    xa = np.asarray(x, dtype=float)
-    u = np.asarray(k, dtype=float) - m * xa / (hbar * t)
-    z = moshinsky_z(xa, k, t, context)
-    az2 = np.abs(z) ** 2
-    if np.any(az2 < 4.0):
-        raise ValueError("asymptotic expansion requires |z| >= 2")
-    n_cap = np.minimum(n_max, np.floor(az2).astype(int))
-    series = np.zeros(np.shape(z), dtype=complex)
-    inv_z2 = 1.0 / (z * z)
-    term = 1.0 / z  # Gamma(1/2)/z enters through the prefactor below
-    gamma_ratio = 1.0
-    for n in range(int(np.max(n_cap)) + 1):
-        if n > 0:
-            gamma_ratio *= n - 0.5  # Gamma(n+1/2)/Gamma(1/2)
-            term = term * inv_z2
-        series = series + np.where(n <= n_cap, gamma_ratio * term, 0.0)
-    series *= np.sqrt(np.pi) / (2.0j * np.pi)
-    phi_free, phi_plane = _phases(xa, k, t, context)
-    classical = u >= 0.0
-    val = np.where(classical, cis(phi_plane), 0.0) + cis(phi_free) * series
-    if val.ndim == 0:
-        return complex(val[()]), bool(classical)
-    return val, classical
+    val = _moshinsky(xa, np.asarray(k, dtype=float), t, context, _chirp(xa, t, context))
+    return complex(val) if val.ndim == 0 else val
 
 
 def psi_sudden(x, t: float, k: float, context: PhysicalContext):
     """Beam released by instantaneous mirror removal: M(x,k,t) - M(x,-k,t)."""
-    return moshinsky_m(x, k, t, context) - moshinsky_m(x, -k, t, context)
+    if not t > 0.0:
+        raise ValueError("psi_sudden requires t > 0")
+    xa = np.asarray(x, dtype=float)
+    chirp = _chirp(xa, t, context)
+    val = _moshinsky(xa, k, t, context, chirp) - _moshinsky(xa, -k, t, context, chirp)
+    return complex(val) if val.ndim == 0 else val
 
 
 def _boost(x, t: float, v: float, context: PhysicalContext):
@@ -214,10 +190,11 @@ def psi_moving(x, t: float, scenario: Scenario) -> WaveComponents:
     km = -k - m * v / hbar
     xa = np.atleast_1d(np.asarray(x, dtype=float))
     y = xa - v * t
-    m1 = moshinsky_m(y, kp, t, ctx)
-    m2 = moshinsky_m(y, km, t, ctx)
-    m3 = moshinsky_m(-y, kp, t, ctx)
-    m4 = moshinsky_m(-y, km, t, ctx)
+    chirp = _chirp(y, t, ctx)  # (-y)^2 == y^2 bitwise: one chirp serves all four terms
+    m1 = _moshinsky(y, kp, t, ctx, chirp)
+    m2 = _moshinsky(y, km, t, ctx, chirp)
+    m3 = _moshinsky(-y, kp, t, ctx, chirp)
+    m4 = _moshinsky(-y, km, t, ctx, chirp)
     prefactor = _boost(xa, t, v, ctx)
     # group the pairs that coincide bitwise at the wall (M1,M3) and (M2,M4)
     # so psi(vt, t) cancels to exactly zero instead of rounding noise
@@ -249,8 +226,10 @@ def psi_near_limit(x, t: float, scenario: Scenario):
     v = scenario.mirror_velocity
     xa = np.asarray(x, dtype=float)
     y = xa - v * t
-    val = _boost(xa, t, v, ctx) * (moshinsky_m(y, 0.0, t, ctx) - moshinsky_m(-y, 0.0, t, ctx))
-    return complex(val[()]) if val.ndim == 0 else val
+    chirp = _chirp(y, t, ctx)
+    pair = _moshinsky(y, 0.0, t, ctx, chirp) - _moshinsky(-y, 0.0, t, ctx, chirp)
+    val = _boost(xa, t, v, ctx) * pair
+    return complex(val) if val.ndim == 0 else val
 
 
 def classical_density(x, t: float, scenario: Scenario):

@@ -8,8 +8,9 @@ oracles' inner loops (the stepped Crank-Nicolson product and the
 unfactored free and moving-wall propagators) that the library replaces
 with closed-form and factored equivalents.  It also holds helpers only
 the tests use: erfc of a complex argument built on the package's
-Faddeeva kernel, and the grid-oracle refinement step of convergence
-studies.
+Faddeeva kernel, the scaled Moshinsky argument z and the large-|z|
+expansion of M, the grid-oracle refinement step of convergence
+studies, and the float64 words of complex results for bitwise checks.
 """
 
 import math
@@ -22,6 +23,11 @@ from scipy.fft import dst, idst
 from mirrorwave.specialfn import _EXP_OVERFLOW, SpecialFunctionOverflow, _w_upper, cis
 
 mp.mp.dps = 30
+
+
+def bits(a):
+    """The float64 words of a complex value or array, flattened, for bitwise comparison."""
+    return np.ascontiguousarray(a, dtype=complex).reshape(-1).view(np.float64)
 
 
 def faddeeva_ref(z) -> complex:
@@ -49,6 +55,56 @@ def moshinsky_ref(x, k, t, hbar, mass) -> complex:
     z = (1 + 1j) / 2 * mp.sqrt(hb * t / m) * (k - m * x / (hb * t))
     w = mp.exp(-((-z) ** 2)) * mp.erfc(-1j * (-z))
     return complex(mp.exp(1j * m * x * x / (2 * hb * t)) / 2 * w)
+
+
+def moshinsky_z(x, k, t: float, context):
+    """Scaled argument z = (1+i)/2 sqrt(hbar t/m) (k - m x/(hbar t)) of M."""
+    hbar, m = context.hbar, context.mass
+    u = np.asarray(k, dtype=float) - m * np.asarray(x, dtype=float) / (hbar * t)
+    return 0.5 * (1.0 + 1j) * np.sqrt(hbar * t / m) * u
+
+
+def moshinsky_asymptotic(x, k, t: float, context, n_max: int):
+    """Large-|z| expansion of M: plane wave (classical side only) plus
+    the inverse-power series sum_n Gamma(n+1/2) / z**(2n+1) / (2 pi i).
+
+    The series is truncated at min(n_max, floor(|z|**2)), the
+    superasymptotic optimum, so the divergent tail is never summed.
+    Returns ``(value, in_classical_region)``.  Requires |z| >= 2
+    everywhere; below that the expansion is unreliable and a ValueError
+    is raised.
+    """
+    if n_max < 0:
+        raise ValueError("n_max must be >= 0")
+    if not t > 0.0:
+        raise ValueError("moshinsky_asymptotic requires t > 0")
+    hbar, m = context.hbar, context.mass
+    xa = np.asarray(x, dtype=float)
+    u = np.asarray(k, dtype=float) - m * xa / (hbar * t)
+    z = moshinsky_z(xa, k, t, context)
+    az2 = np.abs(z) ** 2
+    if np.any(az2 < 4.0):
+        raise ValueError("asymptotic expansion requires |z| >= 2")
+    n_cap = np.minimum(n_max, np.floor(az2).astype(int))
+    series = np.zeros(np.shape(z), dtype=complex)
+    inv_z2 = 1.0 / (z * z)
+    term = 1.0 / z  # Gamma(1/2)/z enters through the prefactor below
+    gamma_ratio = 1.0
+    for n in range(int(np.max(n_cap)) + 1):
+        if n > 0:
+            gamma_ratio *= n - 0.5  # Gamma(n+1/2)/Gamma(1/2)
+            term = term * inv_z2
+        series = series + np.where(n <= n_cap, gamma_ratio * term, 0.0)
+    series *= np.sqrt(np.pi) / (2.0j * np.pi)
+    hb, ms = np.longdouble(hbar), np.longdouble(m)
+    x_ld, k_ld, t_ld = (np.asarray(a, dtype=np.longdouble) for a in (xa, k, t))
+    phi_free = ms * x_ld * x_ld / (2.0 * hb * t_ld)
+    phi_plane = k_ld * x_ld - hb * k_ld * k_ld * t_ld / (2.0 * ms)
+    classical = u >= 0.0
+    val = np.where(classical, cis(phi_plane), 0.0) + cis(phi_free) * series
+    if val.ndim == 0:
+        return complex(val[()]), bool(classical)
+    return val, classical
 
 
 def plane_wave_ref(x, k, t, hbar, mass) -> complex:

@@ -4,12 +4,16 @@ from hypothesis import given, settings, strategies as st
 
 from mirrorwave.specialfn import (
     SpecialFunctionOverflow,
+    _reflection_exp,
+    _w_taylor,
+    _w_upper,
+    _w_weideman,
     cis,
     faddeeva,
     fresnel,
 )
 
-from .reference import erfc_complex, erfc_ref, faddeeva_ref, fresnel_ref, fresnel_series
+from .reference import bits, erfc_complex, erfc_ref, faddeeva_ref, fresnel_ref, fresnel_series
 
 complex_moderate = st.builds(
     complex,
@@ -71,6 +75,63 @@ class TestFaddeeva:
     def test_array_shape(self):
         z = np.array([[0.0, 1j], [1.0, -1.0 - 1.0j]])
         assert faddeeva(z).shape == z.shape
+
+
+class TestFaddeevaDispatch:
+    """faddeeva skips the reflection bookkeeping when no argument has Im z < 0."""
+
+    # |z| from 1e-3 to 30 on rays in the closed upper half-plane: all three
+    # regions (Maclaurin <= 1.8 < Weideman <= 12 < wofz), real axis included
+    MAGS = np.concatenate([np.geomspace(1e-3, 30.0, 97), [1.8, 12.0]])
+    ANGLES = np.linspace(0.0, np.pi, 9)
+
+    def upper(self):
+        return (self.MAGS[:, None] * np.exp(1j * self.ANGLES)[None, :]).ravel()
+
+    def test_upper_half_plane_is_w_upper(self):
+        z = self.upper()
+        assert np.all(z.imag >= 0.0)
+        r = np.abs(z)
+        assert np.any(r <= 1.8) and np.any((r > 1.8) & (r <= 12.0)) and np.any(r > 12.0)
+        assert np.array_equal(bits(faddeeva(z)), bits(_w_upper(z)))
+        grid = z.reshape(self.MAGS.size, self.ANGLES.size)
+        assert faddeeva(grid).shape == grid.shape
+        assert np.array_equal(bits(faddeeva(grid)), bits(_w_upper(z)))
+
+    def test_mixed_signs_use_reflection(self):
+        z = self.upper()
+        z = np.concatenate([z, -z[(z.imag > 0.0) & (np.abs(z) < 20.0)]])
+        lower = z.imag < 0.0
+        got = faddeeva(z)
+        assert np.array_equal(bits(got[~lower]), bits(_w_upper(z[~lower])))
+        zl = z[lower]
+        assert np.array_equal(bits(got[lower]), bits(_reflection_exp(zl) - _w_upper(-zl)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.inf), complex(np.nan, 1.0)])
+    def test_non_finite_rejected_on_fast_path(self, bad):
+        with pytest.raises(ValueError):
+            faddeeva(bad)
+        z = self.upper()
+        z[3] = bad
+        with pytest.raises(ValueError):
+            faddeeva(z)
+
+    @pytest.mark.parametrize("z", [0.5 + 0.5j, 3.0 + 4.0j, 20.0j, -7.0 + 0.0j, 1.0 - 1.0j])
+    def test_scalar_returns_python_complex(self, z):
+        val = faddeeva(z)
+        assert type(val) is complex
+        assert np.array_equal(bits(val), bits(faddeeva(np.array([z]))[0]))
+
+    @pytest.mark.parametrize("kernel,lo,hi", [(_w_taylor, 0.0, 1.8), (_w_weideman, 1.8, 12.0)])
+    def test_kernel_rounding_independent_of_batch(self, kernel, lo, hi):
+        # every point rounds alike whether it comes alone or in a batch
+        # (numpy's in-place complex product of a one-element array skips
+        # the fused multiply-add of its vector loop)
+        rng = np.random.default_rng(8)
+        z = rng.uniform(lo, hi, 400) * np.exp(1j * rng.uniform(0.0, np.pi, 400))
+        batch = kernel(z)
+        alone = np.array([kernel(z[i : i + 1])[0] for i in range(z.size)])
+        assert np.array_equal(bits(alone), bits(batch))
 
 
 class TestErfc:

@@ -7,16 +7,17 @@ from mirrorwave.waves import (
     classical_density,
     critical_points,
     initial_state,
-    moshinsky_asymptotic,
     moshinsky_m,
-    moshinsky_z,
     psi_moving,
     psi_near_limit,
     psi_sudden,
 )
 
 from .reference import (
+    bits,
+    moshinsky_asymptotic,
     moshinsky_ref,
+    moshinsky_z,
     propagator_free,
     propagator_moving_wall,
     spread_gaussian_ref,
@@ -281,6 +282,93 @@ class TestPsiMoving:
         s = Scenario(CTX, K1, MirrorLaw.sudden_removal(), 1e-3)
         with pytest.raises(ValueError):
             psi_moving(0.0, 1e-3, s)
+
+
+class TestSharedChirpBitwise:
+    """The wavefunctions share one chirp and form plane waves only where
+    u >= 0; each must stay bitwise equal to independent moshinsky_m calls."""
+
+    VK, T = 0.01, 10e-3  # v_k t = 100 um; phases reach m y^2/(2 hbar t) > 1e4 rad
+
+    def grid(self, v):
+        """Dense grid over [-500 um, 500 um] plus every u = 0 point and its neighbours."""
+        t, vk = self.T, self.VK
+        fronts = np.array([-vk * t, vk * t, (2 * v - vk) * t, (2 * v + vk) * t, v * t])
+        near = np.concatenate([np.nextafter(fronts, -1.0), fronts, np.nextafter(fronts, 1.0)])
+        x = np.sort(np.concatenate([np.linspace(-5e-4, 5e-4, 20001), near]))
+        y = x - v * t
+        assert CTX.mass * np.abs(y).max() ** 2 / (2 * CTX.hbar * t) >= 1e4
+        return x
+
+    @pytest.mark.parametrize("ratio", [0.5, 1.3])
+    def test_psi_moving_components(self, ratio):
+        v, t = ratio * self.VK, self.T
+        k = CTX.wavenumber(self.VK)
+        s = Scenario(CTX, k, MirrorLaw.moving(v), t)
+        x = self.grid(v)
+        y = x - v * t
+        kp, km = k - CTX.mass * v / CTX.hbar, -k - CTX.mass * v / CTX.hbar
+        for u_zero in (kp, km):  # the grid crosses u = 0 of every term
+            u = u_zero - CTX.mass * y / (CTX.hbar * t)
+            assert u.min() < 0.0 < u.max()
+        wc = psi_moving(x, t, s)
+        want = {
+            "m1": moshinsky_m(y, kp, t, CTX),
+            "m2": moshinsky_m(y, km, t, CTX),
+            "m3": moshinsky_m(-y, kp, t, CTX),
+            "m4": moshinsky_m(-y, km, t, CTX),
+        }
+        for name, ref in want.items():
+            assert np.array_equal(bits(getattr(wc, name)), bits(ref)), name
+        formal = (want["m1"] - want["m3"]) - (want["m2"] - want["m4"])
+        psi = np.where(y <= 0.0, wc.prefactor * formal, 0.0 + 0.0j)
+        assert np.array_equal(bits(wc.psi), bits(psi))
+        for xi in x[::4001]:
+            one = psi_moving(float(xi), t, s)
+            assert type(one.psi) is complex
+            yi = float(xi) - v * t
+            assert np.array_equal(bits(one.m1), bits(moshinsky_m(np.array([yi]), kp, t, CTX)))
+
+    @pytest.mark.parametrize("ratio", [0.5, 1.3])
+    def test_psi_near_limit(self, ratio):
+        v, t = ratio * self.VK, self.T
+        s = Scenario(CTX, CTX.wavenumber(self.VK), MirrorLaw.moving(v), t)
+        x = self.grid(v)
+        y = x - v * t
+        boost = psi_moving(x, t, s).prefactor
+        # a named factor: for a temporary right operand numpy reuses its
+        # buffer and multiplies in the swapped order, which FMA rounds differently
+        pair = moshinsky_m(y, 0.0, t, CTX) - moshinsky_m(-y, 0.0, t, CTX)
+        assert np.array_equal(bits(psi_near_limit(x, t, s)), bits(boost * pair))
+        for xi in x[::4001]:
+            yi = float(xi) - v * t
+            one = psi_near_limit(float(xi), t, s)
+            assert type(one) is complex
+            pair = moshinsky_m(yi, 0.0, t, CTX) - moshinsky_m(-yi, 0.0, t, CTX)
+            assert np.array_equal(bits(one), bits(psi_moving(float(xi), t, s).prefactor * pair))
+
+    def test_psi_sudden(self):
+        t, k = self.T, CTX.wavenumber(self.VK)
+        x = self.grid(0.0)
+        ref = moshinsky_m(x, k, t, CTX) - moshinsky_m(x, -k, t, CTX)
+        assert np.array_equal(bits(psi_sudden(x, t, k, CTX)), bits(ref))
+        for xi in x[::2001]:
+            one = psi_sudden(float(xi), t, k, CTX)
+            assert type(one) is complex
+            ref = moshinsky_m(float(xi), k, t, CTX) - moshinsky_m(float(xi), -k, t, CTX)
+            assert np.array_equal(bits(one), bits(ref))
+
+    def test_moshinsky_m_broadcasts_k(self):
+        t = self.T
+        x = np.linspace(-2e-4, 2e-4, 401)
+        k = np.linspace(-2.0, 2.0, 401) * CTX.wavenumber(self.VK)
+        arr = moshinsky_m(x, k, t, CTX)
+        one = np.array([moshinsky_m(x[i : i + 1], k[i], t, CTX)[0] for i in range(x.size)])
+        assert np.array_equal(bits(arr), bits(one))
+        grid = moshinsky_m(x[:, None], k[None, ::50], t, CTX)
+        assert grid.shape == (401, 9)
+        assert np.array_equal(bits(grid[:, 3]), bits(moshinsky_m(x, k[150], t, CTX)))
+        assert type(moshinsky_m(1e-5, k[7], t, CTX)) is complex
 
 
 class TestCriticalPoints:
