@@ -334,23 +334,28 @@ def _kernel(scenario: Scenario, xs) -> _Kernel:
 
 
 def _tail_series(alpha, kappa, b):
-    """IBP series of int_{-inf}^{b} exp(i(alpha x'^2 + kappa x')) dx'.
+    """IBP series of int_{-inf}^{b} exp(i(alpha x'^2 + kappa x')) dx', per kappa.
 
-    Returns (value, first_neglected_magnitude).  The stationary point
+    ``kappa`` is an array; returns (values, first_neglected_magnitudes).
+    Each element sums terms until the next one would grow, or until
+    ``_TAIL_TERMS`` + 1 terms are in.  The stationary points
     -kappa / (2 alpha) must lie well right of b; the caller guards this.
     """
     dphi = 2.0 * alpha * b + kappa
     ddphi = 2.0 * alpha
-    total = 0.0 + 0.0j
+    den = 1j * dphi * dphi
     term = 1.0 / (1j * dphi)
-    n = 0
-    while True:
-        total += term
-        nxt = term * (2 * n + 1) * ddphi / (1j * dphi * dphi)
-        n += 1
-        if n > _TAIL_TERMS or abs(nxt) >= abs(term):
-            return np.exp(1j * (alpha * b * b + kappa * b)) * total, abs(nxt)
+    total = np.zeros_like(term)
+    neglected = np.zeros(dphi.shape)
+    live = np.ones(dphi.shape, dtype=bool)
+    for n in range(_TAIL_TERMS + 1):
+        total[live] += term[live]
+        nxt = term * (2 * n + 1) * ddphi / den
+        stop = live & ((np.abs(nxt) >= np.abs(term)) | (n == _TAIL_TERMS))
+        neglected[stop] = np.abs(nxt[stop])
+        live &= ~stop
         term = nxt
+    return np.exp(1j * (alpha * b * b + kappa * b)) * total, neglected
 
 
 def _panel_sum(kern: _Kernel, w_len: float, n_panels: int):
@@ -484,20 +489,19 @@ def evolve_quadrature(
 
         # completion of the (-inf, -W] tail: the factored integrand expands
         # into terms row_i * c * e^{i(alpha x'^2 + kappa x')} with
-        # kappa = s 2 alpha z_i +- k - beta, one IBP series each
+        # kappa = s 2 alpha z_i +- k - beta, one IBP series each; a term whose
+        # stationary point lies too close to (or inside) the tail cannot be
+        # completed and leaves an infinite estimate
         guard = 10.0 * spread
-        for i, (zi, ri) in enumerate(zip(kern.z.tolist(), kern.row.tolist())):
-            for s, a in kern.modes:
-                for sk, c in ((k, a), (-k, -a)):
-                    kappa = s * 2.0 * alpha * zi + sk - beta
-                    if -kappa / (2.0 * alpha) - guard <= -w_len:
-                        # stationary point too close to (or inside) the
-                        # tail: cannot complete
-                        est_amp[i] = np.inf
-                        continue
-                    val, neglected = _tail_series(alpha, kappa, -w_len)
-                    psi[i] += ri * c * val
-                    est_amp[i] += abs(ri * c) * neglected
+        for s, a in kern.modes:
+            for sk, c in ((k, a), (-k, -a)):
+                kappa = s * 2.0 * alpha * kern.z + sk - beta
+                ok = -kappa / (2.0 * alpha) - guard > -w_len
+                est_amp[~ok] = np.inf
+                val, neglected = _tail_series(alpha, kappa[ok], -w_len)
+                rc = kern.row[ok] * c
+                psi[ok] += rc * val
+                est_amp[ok] += np.abs(rc) * neglected
 
         # round-off floor of the panel sum: it assembles each node's phase
         # from per-group parts, whose magnitudes add up to at most

@@ -11,7 +11,9 @@ arbitrary-precision reference):
 
 * |z| <= 1.8              Maclaurin series  w(z) = sum (i z)**n / Gamma(n/2 + 1)
 * 1.8 < |z| <= 12         Weideman rational approximation (N = 48)
-* |z| > 12                ``scipy.special.wofz``
+* |z| > 12, Re z = Im z   asymptotic series on the arg = pi/4 ray (12 terms),
+                          summed as two real polynomials
+* |z| > 12, off the ray   ``scipy.special.wofz``
 
 all for Im z >= 0; the lower half-plane uses the reflection
 w(z) = 2 exp(-z**2) - w(-z), guarded against overflow of exp(-z**2).
@@ -36,7 +38,7 @@ PI_LD = np.longdouble("3.141592653589793238462643383279502884")
 TWO_PI_LD = np.longdouble("6.283185307179586476925286766559005768")
 
 _TAYLOR_RADIUS = 1.8
-_WOFZ_RADIUS = 12.0
+_FAR_RADIUS = 12.0
 _TAYLOR_TERMS = 64
 _WEIDEMAN_N = 48
 
@@ -134,17 +136,67 @@ def _w_weideman(z):
     return 2.0 * p / (big_l - iz) ** 2 + (1.0 / SQRT_PI) / (big_l - iz)
 
 
+# --- asymptotic series on the arg = pi/4 ray --------------------------------
+
+# w(z) ~ i / (sqrt(pi) z) * sum_n (2n - 1)!! / (2 z**2)**n.  On the ray
+# z = a (1 + i), 1 / (2 z**2) = -i s with s = 1 / (4 a**2), so the terms
+# n = 0..11 sum to R(s) - i s P(s), with R and P polynomials in s**2 whose
+# coefficients (-1)**j (4j - 1)!! and (-1)**j (4j + 1)!! are exact integers;
+# highest degree first
+_RAY_R = np.array([-654729075.0, 2027025.0, -10395.0, 105.0, -3.0, 1.0])
+_RAY_P = np.array([-13749310575.0, 34459425.0, -135135.0, 945.0, -15.0, 1.0])
+
+
+def _w_ray(a):
+    """(Re w, Im w) at z = a (1 + i), a > 12 / sqrt(2), as two real arrays.
+
+    With g = 1 / (2 sqrt(pi) a) and s = 1 / (4 a**2) = pi g**2,
+    w = g (R + s P + i (R - s P)), R and P the polynomials ``_RAY_R`` and
+    ``_RAY_P`` in s**2.  Twelve terms leave a truncation error near
+    1e-18 at |z| = 12.  The work runs in place on ``a``, which is
+    overwritten with g, and on three more real arrays of its size.
+    """
+    g = np.divide(0.5 / SQRT_PI, a, out=a)
+    t = np.multiply(g, g)
+    t *= np.pi
+    t *= t
+    re = np.multiply(t, _RAY_R[0])
+    re += _RAY_R[1]
+    for r in _RAY_R[2:]:
+        re *= t
+        re += r
+    im = np.multiply(t, _RAY_P[0])
+    im += _RAY_P[1]
+    for p in _RAY_P[2:]:
+        im *= t
+        im += p
+    # s again, in the array that held s**2: s P, then R + s P and R - s P
+    np.multiply(g, g, out=t)
+    t *= np.pi
+    im *= t
+    np.subtract(re, im, out=t)
+    re += im
+    re *= g
+    t *= g
+    return re, t
+
+
 def _w_upper(z):
-    """w(z) for Im z >= 0 via the three-region scheme."""
+    """w(z) for Im z >= 0 via the region scheme."""
     out = np.empty(z.shape, dtype=complex)
     r = np.abs(z)
     small = r <= _TAYLOR_RADIUS
-    big = r > _WOFZ_RADIUS
+    big = r > _FAR_RADIUS
     mid = ~(small | big)
+    ray = z.real == z.imag
+    ray &= big
+    big ^= ray
     if small.any():
         out[small] = _w_taylor(z[small])
     if mid.any():
         out[mid] = _w_weideman(z[mid])
+    if ray.any():
+        out.real[ray], out.imag[ray] = _w_ray(z.real[ray])
     if big.any():
         out[big] = wofz(z[big])
     return out

@@ -4,9 +4,10 @@ These are the independent oracles the library is validated against:
 direct mpmath evaluation of erfc/Fresnel and the wave building blocks,
 kept deliberately separate from the package's own algorithms, the
 Fresnel power series, plus the straightforward forms of the numerical
-oracles' inner loops (the stepped Crank-Nicolson product and the
-unfactored free and moving-wall propagators) that the library replaces
-with closed-form and factored equivalents.  It also holds helpers only
+oracles' inner loops (the stepped Crank-Nicolson product, the
+unfactored free and moving-wall propagators and the scalar
+tail-completion series) that the library replaces with closed-form,
+factored and vectorised equivalents.  It also holds helpers only
 the tests use: erfc of a complex argument built on the package's
 Faddeeva kernel, the scaled Moshinsky argument z and the large-|z|
 expansion of M, the grid-oracle refinement step of convergence
@@ -204,6 +205,27 @@ def propagator_moving_wall(x, t: float, xp, tp: float, v: float, context):
         propagator_free(y, t, yp, tp, context) - propagator_free(y, t, -yp, tp, context)
     )
     return complex(val[()]) if val.ndim == 0 else val
+
+
+def tail_series_loop(alpha, kappa, b, max_terms):
+    """IBP series of int_{-inf}^{b} exp(i(alpha x'^2 + kappa x')) dx' for one kappa.
+
+    The scalar loop the quadrature oracle's vectorised tail completion
+    replaces: terms are summed until the next one would grow, or until
+    max_terms + 1 are in.  Returns (value, first_neglected_magnitude).
+    """
+    dphi = 2.0 * alpha * b + kappa
+    ddphi = 2.0 * alpha
+    total = 0.0 + 0.0j
+    term = 1.0 / (1j * dphi)
+    n = 0
+    while True:
+        total += term
+        nxt = term * (2 * n + 1) * ddphi / (1j * dphi * dphi)
+        n += 1
+        if n > max_terms or abs(nxt) >= abs(term):
+            return np.exp(1j * (alpha * b * b + kappa * b)) * total, abs(nxt)
+        term = nxt
 
 
 def fresnel_series(theta):

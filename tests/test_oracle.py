@@ -1,14 +1,17 @@
 import numpy as np
 import pytest
 from dataclasses import replace
+from hypothesis import assume, given, seed, settings, strategies as st
 
 from mirrorwave import oracle
 from mirrorwave.analysis import profile
 from mirrorwave.oracle import (
     OracleConfig,
     OracleConfigError,
+    _TAIL_TERMS,
     _kernel,
     _panel_sum,
+    _tail_series,
     compare,
     default_config,
     evolve_grid,
@@ -146,6 +149,25 @@ class TestGridOracle:
         prof = evolve_grid(s, default_config(s))
         assert compare(prof, profile(s, prof.xs)).max_abs_err <= 1e-3
 
+    @seed(20071)
+    @settings(max_examples=24, deadline=None, database=None)
+    @given(
+        v_k=st.sampled_from([0.005, 0.01]),
+        ratio=st.floats(min_value=0.2, max_value=1.5),
+        t=st.floats(min_value=1e-3, max_value=20e-3),
+    )
+    def test_sweep_matches_closed_form(self, v_k, ratio, t):
+        # default-config grid runs against the closed form over the swept
+        # (v_k, v/v_k, t) region, at the c06 bound; a 60-case scan of the
+        # region found at most 1.8e-4.  Grids above 2**19 intervals (only
+        # v_k = 1 cm/s with v/v_k near 1.5 and t near 20 ms, 5.7e-5 in that
+        # scan) are left out to bound the run time and memory
+        s = Scenario(CTX, CTX.wavenumber(v_k), MirrorLaw.moving(ratio * v_k), t)
+        cfg = default_config(s)
+        assume(cfg.grid_points <= 1 << 19)
+        prof = evolve_grid(s, cfg)
+        assert compare(prof, profile(s, prof.xs)).max_abs_err <= 1e-3
+
 
 class TestQuadratureOracle:
     def test_sudden_matches_analytic(self):
@@ -245,6 +267,18 @@ class TestQuadratureOracle:
         xs = np.linspace(*cfg.comparison_window, 301)
         res = evolve_quadrature(s, cfg, xs)
         assert np.abs(res.profile.densities - profile(s, xs).densities).max() <= 3e-12
+
+    def test_tail_series_matches_scalar_loop(self):
+        # |2 alpha / dphi**2| from ~3 down to ~5e-5, so the series stops
+        # after every count of terms, from one (next term grows) to the cap
+        alpha, b = 1.0, -10.0
+        dphi = -np.geomspace(0.8, 200.0, 101)
+        kappa = dphi - 2.0 * alpha * b
+        val, neglected = _tail_series(alpha, kappa, b)
+        for i, kap in enumerate(kappa.tolist()):
+            want, want_neglected = reference.tail_series_loop(alpha, kap, b, _TAIL_TERMS)
+            assert abs(val[i] - want) <= 1e-14 * abs(want)
+            assert neglected[i] == pytest.approx(want_neglected, rel=1e-14)
 
     def test_image_tails_completed(self):
         # 1 cm/s beam, 0.8 cm/s mirror, 10 ms, W = 120 um: the stationary

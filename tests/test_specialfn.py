@@ -1,10 +1,15 @@
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import wofz
 
+from mirrorwave import analysis, specialfn, waves
+from mirrorwave.physics import MirrorLaw, PhysicalContext, Scenario
 from mirrorwave.specialfn import (
     SpecialFunctionOverflow,
     _reflection_exp,
+    _w_ray,
     _w_taylor,
     _w_upper,
     _w_weideman,
@@ -14,6 +19,20 @@ from mirrorwave.specialfn import (
 )
 
 from .reference import bits, erfc_complex, erfc_ref, faddeeva_ref, fresnel_ref, fresnel_series
+
+
+def w_ray(z):
+    """The ray kernel as a complex-valued function of z = a (1 + i)."""
+    re, im = _w_ray(z.real.copy())
+    return re + 1j * im
+
+
+def ray_points(lo, hi, n, seed):
+    """n points z = a (1 + i) with |z| log-uniform over [lo, hi]."""
+    rng = np.random.default_rng(seed)
+    r = lo * (hi / lo) ** rng.uniform(0.0, 1.0, n)
+    return 0.5 * (1.0 + 1j) * (np.sqrt(2.0) * r)
+
 
 complex_moderate = st.builds(
     complex,
@@ -80,8 +99,9 @@ class TestFaddeeva:
 class TestFaddeevaDispatch:
     """faddeeva skips the reflection bookkeeping when no argument has Im z < 0."""
 
-    # |z| from 1e-3 to 30 on rays in the closed upper half-plane: all three
-    # regions (Maclaurin <= 1.8 < Weideman <= 12 < wofz), real axis included
+    # |z| from 1e-3 to 30 on rays in the closed upper half-plane: every
+    # region (Maclaurin <= 1.8 < Weideman <= 12 < asymptotic series on the
+    # arg = pi/4 ray, wofz off it), real axis included
     MAGS = np.concatenate([np.geomspace(1e-3, 30.0, 97), [1.8, 12.0]])
     ANGLES = np.linspace(0.0, np.pi, 9)
 
@@ -122,16 +142,102 @@ class TestFaddeevaDispatch:
         assert type(val) is complex
         assert np.array_equal(bits(val), bits(faddeeva(np.array([z]))[0]))
 
-    @pytest.mark.parametrize("kernel,lo,hi", [(_w_taylor, 0.0, 1.8), (_w_weideman, 1.8, 12.0)])
+    @pytest.mark.parametrize(
+        "kernel,lo,hi", [(_w_taylor, 0.0, 1.8), (_w_weideman, 1.8, 12.0), (w_ray, 12.0, 1e6)]
+    )
     def test_kernel_rounding_independent_of_batch(self, kernel, lo, hi):
         # every point rounds alike whether it comes alone or in a batch
         # (numpy's in-place complex product of a one-element array skips
         # the fused multiply-add of its vector loop)
         rng = np.random.default_rng(8)
-        z = rng.uniform(lo, hi, 400) * np.exp(1j * rng.uniform(0.0, np.pi, 400))
+        if kernel is w_ray:
+            z = ray_points(lo, hi, 400, 8)
+        else:
+            z = rng.uniform(lo, hi, 400) * np.exp(1j * rng.uniform(0.0, np.pi, 400))
         batch = kernel(z)
         alone = np.array([kernel(z[i : i + 1])[0] for i in range(z.size)])
         assert np.array_equal(bits(alone), bits(batch))
+
+
+class TestRaySeries:
+    """|z| > 12 on the arg = pi/4 ray: the real asymptotic series, not wofz."""
+
+    def test_accuracy_against_multiprecision(self):
+        z = np.concatenate([ray_points(12.0, 1e6, 300, 9), [(1e6 / np.sqrt(2.0)) * (1.0 + 1j)]])
+        z = z[np.abs(z) > 12.0]
+        assert np.all(z.real == z.imag)
+        w = _w_upper(z)
+        with mp.workdps(40):
+            for zi, wi in zip(z, w):
+                zm = mp.mpc(zi.real, zi.imag)
+                ref = mp.exp(-zm * zm) * mp.erfc(-1j * zm)
+                assert abs(mp.mpc(wi) - ref) <= 1e-15 * abs(ref), f"z={zi}"
+
+    def test_continuous_across_radius(self):
+        # the last Weideman points and the first series points on the ray,
+        # each one ulp of a apart
+        a = 12.0 / np.sqrt(2.0) + np.arange(-3, 4) * np.spacing(12.0 / np.sqrt(2.0))
+        z = a * (1.0 + 1j)
+        assert np.all(z.real == z.imag)
+        inside = np.abs(z) <= 12.0
+        assert inside.any() and not inside.all()
+        w = _w_upper(z)
+        assert np.array_equal(bits(w[inside]), bits(_w_weideman(z[inside])))
+        assert np.array_equal(bits(w[~inside]), bits(w_ray(z[~inside])))
+        assert np.abs(w - w[0]).max() <= 4e-15 * abs(w[0])
+
+    def test_off_ray_points_still_use_wofz(self):
+        rng = np.random.default_rng(10)
+        r = 12.0 * (1e5 / 12.0) ** rng.uniform(0.0, 1.0, 400)
+        z = r * np.exp(1j * rng.uniform(0.0, np.pi, 400))
+        # one ulp off the ray, and a ray point among them
+        a = 20.0
+        z = np.concatenate([z, [complex(a, np.nextafter(a, 21.0)), complex(a, a)]])
+        on = z.real == z.imag
+        assert on.sum() == 1
+        w = _w_upper(z)
+        assert np.array_equal(bits(w[~on]), bits(wofz(z[~on])))
+        assert np.array_equal(bits(w[on]), bits(w_ray(z[on])))
+        assert np.array_equal(bits(faddeeva(z)), bits(w))
+
+    def test_library_traffic_never_reaches_wofz(self, monkeypatch):
+        # waves and fresnel build every large argument on the ray
+        def no_wofz(z):
+            raise AssertionError(f"wofz reached for {np.size(z)} points")
+
+        reached = []
+
+        def counted(a):
+            reached.append(a.size)
+            return _w_ray(a)
+
+        monkeypatch.setattr(specialfn, "wofz", no_wofz)
+        monkeypatch.setattr(specialfn, "_w_ray", counted)
+        ctx = PhysicalContext()
+        k = ctx.wavenumber(0.01)
+        t = 20e-3
+        laws = {
+            "receding": MirrorLaw.moving(0.008),
+            "fast": MirrorLaw.moving(0.013),
+            "sudden": MirrorLaw.sudden_removal(),
+            "near_limit": MirrorLaw.moving(0.0099),
+        }
+        for name, law in laws.items():
+            before = sum(reached)
+            s = Scenario(ctx, k, law, t)
+            xs = np.linspace(-1.5 * s.v_k * t, 1.2 * s.v_k * t, 2001)
+            if name == "sudden":
+                waves.psi_sudden(xs, t, k, ctx)
+            else:
+                xs = xs[xs <= s.mirror_position]
+                waves.psi_moving(xs, t, s)
+                if name == "near_limit":
+                    waves.psi_near_limit(xs[xs > 0.0], t, s)
+            analysis.profile(s, xs)
+            assert sum(reached) > before, name
+        before = sum(reached)
+        fresnel(np.linspace(-1e3, 1e3, 2001))
+        assert sum(reached) > before
 
 
 class TestErfc:
