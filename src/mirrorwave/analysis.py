@@ -247,8 +247,8 @@ class WidthScalingResult:
     exponent: float
 
 
-def _front_grid(scenario: Scenario, per_scale: int = 64) -> np.ndarray:
-    """Grid resolving the fringe window of the scenario's front."""
+def _front_grid(scenario: Scenario) -> np.ndarray:
+    """Grid resolving the fringe window of the scenario's front (64 points per fringe scale)."""
     delta = fringe_scale(scenario)
     kind = scenario.mirror.kind
     if kind is MirrorKind.MOVING and scenario.mirror_velocity < scenario.v_k:
@@ -258,7 +258,7 @@ def _front_grid(scenario: Scenario, per_scale: int = 64) -> np.ndarray:
         lo, hi = cp.x_plus - 2.0 * delta, cp.x_mirror
     else:
         front = scenario.v_k * scenario.time
-        step = delta / per_scale
+        step = delta / 64.0
         lo, hi = front - 14.0 * delta, front + 7.0 * delta
         if kind is MirrorKind.MOVING:
             hi = min(hi, scenario.mirror_velocity * scenario.time)

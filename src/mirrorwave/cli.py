@@ -14,7 +14,9 @@ values.  Output is deterministic: identical flags produce byte-identical
 files apart from the timestamp header line.
 
 Exit codes: 0 success, 1 usage/configuration error, 2 numerical-validation
-failure.
+failure.  The parser declares the per-flag rules, commands raise ValueError
+for cross-flag ones, and ``main`` is the one map from exceptions to exit
+codes and stderr prefixes.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from __future__ import annotations
 import argparse
 import sys
 from contextlib import nullcontext
+from dataclasses import replace
 from datetime import datetime, timezone
 
 import numpy as np
@@ -86,45 +89,37 @@ def _component_columns(wc) -> list:
     return [np.abs(wc.m1) ** 2, np.abs(wc.m2) ** 2, np.abs(wc.m3) ** 2, np.abs(wc.m4) ** 2]
 
 
+def _count(text: str) -> int:
+    """argparse type: an integer >= 1."""
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1 (got {n})")
+    return n
+
+
+def _velocity_list(text: str) -> list:
+    """argparse type: a non-empty comma-separated list of velocities (cm/s)."""
+    vks = [float(v) for v in text.split(",") if v]
+    if not vks:
+        raise argparse.ArgumentTypeError("expects a comma-separated list of cm/s values")
+    return vks
+
+
 def _context(args) -> PhysicalContext:
-    try:
-        mass = SPECIES_MASSES[args.species]
-    except KeyError:
-        raise SystemExit(
-            f"error: unknown species {args.species!r}; available: "
-            + ", ".join(sorted(SPECIES_MASSES))
-        ) from None
-    return PhysicalContext(mass=mass, species_label=args.species)
+    return PhysicalContext(mass=SPECIES_MASSES[args.species], species_label=args.species)
 
 
 def _mirror_law(args) -> MirrorLaw:
-    chosen = [
-        name
-        for name, on in (
-            ("--v", args.v is not None),
-            ("--sudden", getattr(args, "sudden", False)),
-            ("--static", getattr(args, "static", False)),
-        )
-        if on
-    ]
-    if len(chosen) != 1:
-        raise SystemExit(
-            "error: exactly one of --v, --sudden, --static must be given"
-            f" (got {', '.join(chosen) or 'none'})"
-        )
+    # the parser admits exactly one of --v, --sudden, --static
     if args.v is not None:
         return MirrorLaw.moving(to_si(args.v, "cm/s"))
-    if getattr(args, "sudden", False):
-        return MirrorLaw.sudden_removal()
-    return MirrorLaw.static()
+    return MirrorLaw.sudden_removal() if args.sudden else MirrorLaw.static()
 
 
-def _scenario(args, mirror: MirrorLaw | None = None) -> Scenario:
+def _scenario(args) -> Scenario:
     ctx = _context(args)
-    if mirror is None:
-        mirror = _mirror_law(args)
     k = ctx.wavenumber(to_si(args.vk, "cm/s"))
-    return Scenario(ctx, k, mirror, to_si(args.t, "ms"))
+    return Scenario(ctx, k, _mirror_law(args), to_si(args.t, "ms"))
 
 
 def _scenario_params(s: Scenario) -> dict:
@@ -150,9 +145,7 @@ def _scenario_params(s: Scenario) -> dict:
 
 def _grid(args, s: Scenario) -> np.ndarray:
     if (args.xmin is None) != (args.xmax is None):
-        raise SystemExit("error: give both --xmin and --xmax or neither")
-    if args.points < 1:
-        raise SystemExit("error: --points must be >= 1")
+        raise ValueError("give both --xmin and --xmax or neither")
     if args.xmin is None:
         v_eff = s.mirror_velocity if s.mirror.kind is MirrorKind.MOVING else s.v_k
         lo = -1.5 * s.v_k * s.time
@@ -160,26 +153,27 @@ def _grid(args, s: Scenario) -> np.ndarray:
     else:
         lo, hi = to_si(args.xmin, "um"), to_si(args.xmax, "um")
     if lo > hi or (lo == hi and args.points > 1):
-        raise SystemExit("error: need xmin < xmax (or a single point with --points 1)")
+        raise ValueError("need xmin < xmax (or a single point with --points 1)")
     return np.linspace(lo, hi, args.points)
 
 
 def _add_scenario_flags(p, mirror_required: bool = False):
     p.add_argument("--vk", type=float, required=True, help="beam velocity (cm/s)")
     p.add_argument("--t", type=float, required=True, help="evolution time (ms)")
-    p.add_argument("--species", default="87Rb", help="beam species (default 87Rb)")
+    p.add_argument("--species", choices=SPECIES_MASSES, default="87Rb", help="beam species")
     if mirror_required:
         p.add_argument("--v", type=float, required=True, help="mirror velocity (cm/s)")
     else:
-        p.add_argument("--v", type=float, help="mirror velocity (cm/s)")
-        p.add_argument("--sudden", action="store_true", help="suddenly removed mirror")
-        p.add_argument("--static", action="store_true", help="mirror held fixed")
+        mirror = p.add_mutually_exclusive_group(required=True)
+        mirror.add_argument("--v", type=float, help="mirror velocity (cm/s)")
+        mirror.add_argument("--sudden", action="store_true", help="suddenly removed mirror")
+        mirror.add_argument("--static", action="store_true", help="mirror held fixed")
 
 
 def _add_grid_flags(p):
     p.add_argument("--xmin", type=float, help="left grid edge (um)")
     p.add_argument("--xmax", type=float, help="right grid edge (um)")
-    p.add_argument("--points", type=int, default=2000, help="grid points (default 2000)")
+    p.add_argument("--points", type=_count, default=2000, help="grid points (default 2000)")
 
 
 def cmd_profile(args) -> int:
@@ -198,7 +192,7 @@ def cmd_profile(args) -> int:
 
 
 def cmd_components(args) -> int:
-    s = _scenario(args, MirrorLaw.moving(to_si(args.v, "cm/s")))
+    s = _scenario(args)
     xs = _grid(args, s)
     wc = psi_moving(xs, s.time, s)
     params = _scenario_params(s)
@@ -216,8 +210,6 @@ def cmd_components(args) -> int:
 
 
 def cmd_cornu(args) -> int:
-    if args.points < 1:
-        raise SystemExit("error: --points must be >= 1")
     theta = np.linspace(args.theta_min, args.theta_max, args.points)
     c, s = analysis.universal_enhanced, analysis.universal_ordinary
     from .specialfn import fresnel
@@ -240,16 +232,8 @@ def cmd_cornu(args) -> int:
 
 
 def cmd_visibility(args) -> int:
-    try:
-        vks = [float(v) for v in args.vk.split(",") if v]
-    except ValueError:
-        raise SystemExit("error: --vk expects a comma-separated list of cm/s values")
-    if not vks:
-        raise SystemExit("error: --vk list is empty")
     if args.ratio_min <= 0 or args.ratio_max < args.ratio_min:
-        raise SystemExit("error: need 0 < ratio-min <= ratio-max")
-    if args.ratio_points < 1:
-        raise SystemExit("error: --ratio-points must be >= 1")
+        raise ValueError("need 0 < ratio-min <= ratio-max")
     ratios = np.linspace(args.ratio_min, args.ratio_max, args.ratio_points)
     ctx = _context(args)
     t = to_si(args.t, "ms")
@@ -261,7 +245,7 @@ def cmd_visibility(args) -> int:
         "ratio_min": float(args.ratio_min),
         "ratio_max": float(args.ratio_max),
     }
-    for vk_cm in vks:
+    for vk_cm in args.vk:
         k = ctx.wavenumber(to_si(vk_cm, "cm/s"))
         template = Scenario(ctx, k, MirrorLaw.sudden_removal(), t)
         scan = analysis.enhancement_scan(ratios, template)
@@ -278,43 +262,32 @@ def cmd_visibility(args) -> int:
 
 def cmd_oracle(args) -> int:
     s = _scenario(args)
+    if (args.window_lo is None) != (args.window_hi is None):
+        raise ValueError("give both --window-lo and --window-hi or neither")
     window = None
-    if args.window_lo is not None or args.window_hi is not None:
-        if args.window_lo is None or args.window_hi is None:
-            raise SystemExit("error: give both --window-lo and --window-hi or neither")
+    if args.window_lo is not None:
         window = (to_si(args.window_lo, "um"), to_si(args.window_hi, "um"))
-    try:
-        cfg = default_config(s, comparison_window=window)
-        overrides = {}
-        if args.domain_um is not None:
-            overrides["domain_length"] = to_si(args.domain_um, "um")
-        if args.grid_points is not None:
-            overrides["grid_points"] = args.grid_points
-        if args.dt_us is not None:
-            overrides["time_step"] = to_si(args.dt_us, "ms") * 1e-3
-        if args.trunc_um is not None:
-            overrides["truncation_window"] = to_si(args.trunc_um, "um")
-        if overrides:
-            from dataclasses import replace
-
-            cfg = replace(cfg, **overrides)
-        if args.oracle == "grid":
-            oracle_prof = evolve_grid(s, cfg)
-            trunc_note = {}
-        else:
-            xs = np.linspace(cfg.comparison_window[0], cfg.comparison_window[1], args.points)
-            qr = evolve_quadrature(s, cfg, xs, tolerance=args.tolerance)
-            oracle_prof = qr.profile
-            trunc_note = {
-                "max_truncation_estimate": float(np.max(qr.truncation_estimate)),
-                "truncation_flagged": qr.flagged,
-            }
-    except OracleConfigError as exc:
-        print(f"oracle configuration rejected: {exc}", file=sys.stderr)
-        return 1
-    except OracleNumericalError as exc:
-        print(f"oracle numerical failure: {exc}", file=sys.stderr)
-        return 2
+    overrides = {}
+    if args.domain_um is not None:
+        overrides["domain_length"] = to_si(args.domain_um, "um")
+    if args.grid_points is not None:
+        overrides["grid_points"] = args.grid_points
+    if args.dt_us is not None:
+        overrides["time_step"] = to_si(args.dt_us, "us")
+    if args.trunc_um is not None:
+        overrides["truncation_window"] = to_si(args.trunc_um, "um")
+    cfg = replace(default_config(s, comparison_window=window), **overrides)
+    if args.oracle == "grid":
+        oracle_prof = evolve_grid(s, cfg)
+        trunc_note = {}
+    else:
+        xs = np.linspace(cfg.comparison_window[0], cfg.comparison_window[1], args.points)
+        qr = evolve_quadrature(s, cfg, xs, tolerance=args.tolerance)
+        oracle_prof = qr.profile
+        trunc_note = {
+            "max_truncation_estimate": float(np.max(qr.truncation_estimate)),
+            "truncation_flagged": qr.flagged,
+        }
 
     ana = analysis.profile(s, oracle_prof.xs)
     rep = compare(ana, oracle_prof)
@@ -377,17 +350,19 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("cornu", help="universal Cornu-spiral representation")
     p.add_argument("--theta-min", type=float, default=-3.0)
     p.add_argument("--theta-max", type=float, default=3.0)
-    p.add_argument("--points", type=int, default=601)
+    p.add_argument("--points", type=_count, default=601)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_cornu)
 
     p = sub.add_parser("visibility", help="fringe visibility vs velocity ratio")
-    p.add_argument("--vk", required=True, help="comma-separated beam velocities (cm/s)")
+    p.add_argument(
+        "--vk", type=_velocity_list, required=True, help="comma-separated beam velocities (cm/s)"
+    )
     p.add_argument("--t", type=float, required=True, help="evolution time (ms)")
-    p.add_argument("--species", default="87Rb")
+    p.add_argument("--species", choices=SPECIES_MASSES, default="87Rb")
     p.add_argument("--ratio-min", type=float, default=1.1)
     p.add_argument("--ratio-max", type=float, default=10.0)
-    p.add_argument("--ratio-points", type=int, default=20)
+    p.add_argument("--ratio-points", type=_count, default=20)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_visibility)
 
@@ -401,30 +376,28 @@ def _build_parser() -> _Parser:
     p.add_argument("--grid-points", type=int, help="override grid intervals N")
     p.add_argument("--dt-us", type=float, help="override time step (microseconds)")
     p.add_argument("--trunc-um", type=float, help="override quadrature support depth (um)")
-    p.add_argument("--points", type=int, default=201, help="quadrature evaluation points")
+    p.add_argument("--points", type=_count, default=201, help="quadrature evaluation points")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_oracle)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 1
+        # argparse exits 0 after --help and 1 on a usage error (_Parser.error)
+        return exc.code
     try:
         return args.func(args)
-    except SystemExit as exc:
-        if isinstance(exc.code, str):
-            print(exc.code, file=sys.stderr)
-            return 1
-        return exc.code if exc.code is not None else 0
-    except (ValueError, OracleConfigError) as exc:
+    except OracleConfigError as exc:
+        print(f"oracle configuration rejected: {exc}", file=sys.stderr)
+        return 1
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OracleNumericalError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
+        print(f"oracle numerical failure: {exc}", file=sys.stderr)
         return 2
 
 

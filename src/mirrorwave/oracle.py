@@ -60,7 +60,7 @@ from scipy.fft import dst, idst
 
 from .analysis import DensityProfile
 from .physics import MirrorKind, Scenario
-from .waves import _boost, critical_points, initial_state
+from .waves import _boost, _chirp, critical_points, initial_state
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
 # the panel sum takes the panels in groups of _GROUP (256 nodes), so its
@@ -130,7 +130,7 @@ def _occupied_omega(scenario: Scenario, v: float) -> float:
 
 
 def validate_config(scenario: Scenario, config: OracleConfig) -> None:
-    """Check the causality and step-size guards, raising with suggestions."""
+    """Check the causality, wall and step-size guards, raising with suggestions."""
     if scenario.time <= 0:
         raise OracleConfigError("oracle evolution requires scenario.time > 0")
     ctx = scenario.context
@@ -146,10 +146,12 @@ def validate_config(scenario: Scenario, config: OracleConfig) -> None:
             f"the comparison window; need domain_length > {needed:.6g} m "
             f"(got {config.domain_length:.6g})"
         )
-    if scenario.mirror.kind is MirrorKind.MOVING and x_hi - v * t > 1e-12 * abs(v * t) + 1e-18:
-        raise OracleConfigError(
-            f"comparison window extends beyond the mirror position {v * t:.6g} m"
-        )
+    if scenario.mirror.kind is not MirrorKind.SUDDEN_REMOVAL:
+        wall = scenario.mirror_position
+        if x_hi - wall > 1e-12 * abs(wall) + 1e-18:
+            raise OracleConfigError(
+                f"comparison window extends beyond the mirror position {wall:.6g} m"
+            )
     omega = _occupied_omega(scenario, v)
     if config.time_step * omega >= 0.1:
         raise OracleConfigError(
@@ -329,7 +331,7 @@ def _kernel(scenario: Scenario, xs) -> _Kernel:
     else:
         modes = ((-1, 1.0), (1, -1.0))
     z = xs - v * t
-    row = pref * _boost(xs, t, v, ctx) * np.exp(1j * alpha * z * z)
+    row = pref * _boost(xs, t, v, ctx) * _chirp(z, t, ctx)
     return _Kernel(alpha, v, m * v / hbar, scenario.k, z, row, modes)
 
 
@@ -470,7 +472,7 @@ def evolve_quadrature(
     spread = math.sqrt(hbar * t / m)
 
     if scenario.mirror.kind is not MirrorKind.SUDDEN_REMOVAL and np.any(
-        xs > _wall_speed(scenario) * t
+        xs > scenario.mirror_position
     ):
         raise OracleConfigError("evaluation points must not lie beyond the mirror")
 

@@ -36,6 +36,7 @@ _UNIT_EXPONENT = {
     "cm/s": -2,
     "ms": -3,
     "um": -6,
+    "us": -6,
     "μm": -6,  # accept the Greek-mu spelling as well
 }
 
@@ -51,7 +52,7 @@ def _scale_exact(value: float, exponent: int) -> float:
 def to_si(value: float, unit: str) -> float:
     """Convert a lab-unit value to SI.
 
-    Supported tags: m, s, m/s, 1/m, cm/s, ms, um.
+    Supported tags: m, s, m/s, 1/m, cm/s, ms, um, us.
     """
     try:
         e = _UNIT_EXPONENT[unit]

@@ -254,6 +254,11 @@ def fresnel(theta):
         C + i*S = (1+i)/2 * [1 - exp(i*pi*theta**2/2) * w((1+i)*sqrt(pi)/2*theta)]
 
     which keeps a single accuracy-critical kernel for the whole package.
+    The accuracy is absolute: against 40-digit mpmath on 300 log-spaced
+    theta in [1e-6, 0.5] both integrals err by <= 1.5e-16.  Near 0, where
+    S(theta) ~ pi theta**3 / 6, the cancellation in 1 - e^{i pi theta**2/2} w
+    costs S its relative accuracy below |theta| ~ 1e-2 (relative error
+    2.9e-8 at theta = 1e-3, 27 at 1e-6).
     """
     th = np.asarray(theta, dtype=float)
     scalar = th.ndim == 0

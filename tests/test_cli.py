@@ -246,6 +246,26 @@ class TestOracleCommand:
         err = capsys.readouterr().err
         assert "need domain_length" in err
 
+    def test_time_step_override(self, tmp_path):
+        out = tmp_path / "dt.csv"
+        rc = main(
+            "oracle --vk 1.0 --static --t 2 --oracle grid --tolerance 1e-3 --dt-us 0.05 "
+            "--out".split()
+            + [str(out)]
+        )
+        assert rc == 0
+        manifest, _, _ = read_table(out)
+        assert float(manifest["time_step_s"]) == 5e-8
+
+    def test_window_beyond_static_wall_exit_1(self, tmp_path, capsys):
+        rc = main(
+            "oracle --vk 1.0 --static --t 2 --oracle grid --tolerance 1e-3 "
+            "--window-lo -20 --window-hi 5 --out".split()
+            + [str(tmp_path / "x.csv")]
+        )
+        assert rc == 1
+        assert "beyond the mirror" in capsys.readouterr().err
+
     def test_fast_approaching_mirror_exit_1(self, tmp_path, capsys):
         rc = main(
             "oracle --vk 1.0 --v -0.6 --t 5 --oracle grid --tolerance 1e-3 --out".split()
@@ -254,3 +274,30 @@ class TestOracleCommand:
         assert rc == 1
         err = capsys.readouterr().err
         assert "v <= -v_k/2" in err and "--window-lo and --window-hi" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "profile --vk 1.0 --sudden --t 5 --points 0",
+        "components --vk 1.0 --v 1.5 --t 5 --points 0",
+        "cornu --points 0",
+        "oracle --vk 1.0 --sudden --t 2 --oracle quadrature --tolerance 1e-4 --points 0",
+        "visibility --vk 1.0 --t 50 --ratio-points 0",
+        "visibility --vk , --t 50",
+        "visibility --vk 1,abc --t 50",
+        "visibility --vk 1.0 --t 50 --species 6Li",
+        "profile --vk 1.0 --sudden --t 5 --xmin 5",
+        "oracle --vk 1.0 --static --t 2 --oracle grid --tolerance 1e-3 --window-lo -20",
+    ],
+)
+def test_usage_error(tmp_path, capsys, argv):
+    out = tmp_path / "x.csv"
+    assert main(argv.split() + ["--out", str(out)]) == 1
+    assert "Traceback" not in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_help_exits_0(capsys):
+    assert main(["--help"]) == 0
+    assert "usage: mirrorwave" in capsys.readouterr().out

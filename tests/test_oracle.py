@@ -55,6 +55,13 @@ class TestConfigGuards:
             default_cfg = default_config(s)
             evolve_grid(s, replace(default_cfg, comparison_window=(-1e-5, 1e-3)))
 
+    def test_window_beyond_static_wall_rejected(self):
+        # the grid oracle would silently drop the window points beyond x = 0
+        s = Scenario(CTX, K1, MirrorLaw.static(), 2e-3)
+        cfg = replace(default_config(s), comparison_window=(-2e-5, 5e-6))
+        with pytest.raises(OracleConfigError, match="beyond the mirror"):
+            evolve_grid(s, cfg)
+
     @pytest.mark.parametrize("v", [-0.005, -0.006])
     def test_fast_approaching_mirror_has_no_default_window(self, v):
         # v <= -v_k/2 puts the mirror at or left of -v_k t/2, the default window's left edge

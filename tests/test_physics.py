@@ -25,6 +25,7 @@ class TestUnits:
             (3.0, "m", 3.0),
             (7.0, "s", 7.0),
             (1.3e7, "1/m", 1.3e7),
+            (2.5, "us", 2.5e-6),
         ],
     )
     def test_to_si_examples(self, value, unit, expected):
@@ -36,7 +37,7 @@ class TestUnits:
         with pytest.raises(UnknownUnitError):
             from_si(1.0, "km/h")
 
-    @pytest.mark.parametrize("unit", ["cm/s", "ms", "um"])
+    @pytest.mark.parametrize("unit", ["cm/s", "ms", "um", "us"])
     @pytest.mark.parametrize(
         "value", [0.05, 0.1, 0.2, 0.5, 0.8, 1.0, 1.1, 1.5, 2.0, 5.0, 7.5, 10.0, 100.0]
     )
