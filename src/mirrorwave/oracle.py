@@ -36,12 +36,12 @@ Two oracles, deliberately different from the closed-form route:
     blocks of points and groups.  The discarded tail (-inf, -W] of the
     semi-infinite beam decays only algebraically (a hard-edge diffraction
     tail ~ 1/distance), far too slowly for simple truncation at any
-    feasible W.  The same
-    factors expand there into quadratic-phase terms
-    e^{i(alpha x'^2 + kappa x')}, each completed by the exact
-    integration-by-parts series of the non-stationary oscillatory
-    integral; the first neglected term is reported as the truncation
-    estimate.
+    feasible W.  The same factors expand there into quadratic-phase terms
+    e^{i(alpha x'^2 + kappa x')}, and each term's half-line integral is a
+    Fresnel integral, completed exactly on ``scipy.special.wofz`` (not on
+    the package's own Faddeeva kernel, which the oracle validates).  The
+    reported estimate bounds the rounding of the panel sum and of the
+    completed tail.
 
 The ``OracleConfig`` guards keep both oracles honest: the domain must be
 deep enough that the artificial left edge cannot influence the
@@ -57,6 +57,7 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy.fft import dst, idst
+from scipy.special import wofz
 
 from .analysis import DensityProfile
 from .physics import MirrorKind, Scenario
@@ -70,8 +71,6 @@ _GROUP = 32
 # at most _BLOCK_SIZE doubles (512 KiB) each, small enough to stay in a
 # core's L2 cache, so its work memory does not grow with the panel count
 _BLOCK_SIZE = 1 << 16
-# at most this many integration-by-parts terms per tail completion
-_TAIL_TERMS = 4
 
 
 class OracleConfigError(ValueError):
@@ -101,8 +100,12 @@ class OracleConfig:
     comparison_window: tuple
 
     def __post_init__(self):
-        if self.domain_length <= 0 or self.grid_points < 8 or self.time_step <= 0:
-            raise ValueError("domain_length, grid_points, time_step must be positive")
+        if self.domain_length <= 0:
+            raise ValueError("domain_length must be > 0")
+        if self.grid_points < 8:
+            raise ValueError(f"grid_points must be >= 8 (got {self.grid_points})")
+        if self.time_step <= 0:
+            raise ValueError("time_step must be > 0")
         if self.truncation_window < 0:
             raise ValueError("truncation_window must be >= 0")
         lo, hi = self.comparison_window
@@ -212,6 +215,9 @@ def default_config(scenario: Scenario, comparison_window: tuple | None = None) -
     big_l = abs(x_lo) + reach + 40.0 * spread
     k_occ = scenario.k + beta + 10.0 / spread
     n = 1 << max(int(big_l * 6.0 * k_occ / np.pi).bit_length(), 10)
+    # the quadrature tail beyond -W is completed exactly, so W needs no
+    # decay margin; it places every window point's stationary points inside
+    # the panel-summed support [-W, 0], with 60 spreads to spare
     trunc = abs(x_lo) + (2.0 * abs(v) + v_k) * t + 60.0 * spread
     return OracleConfig(
         domain_length=big_l,
@@ -281,12 +287,13 @@ def evolve_grid(scenario: Scenario, config: OracleConfig) -> DensityProfile:
 
 @dataclass(frozen=True)
 class QuadratureResult:
-    """Quadrature-oracle output plus its conservative truncation estimate.
+    """Quadrature-oracle output plus its error estimate.
 
-    ``truncation_estimate`` is density-level, per grid point: the first
-    neglected term of the tail-completion series propagated through
-    |psi|**2.  ``flagged`` is set when the estimate exceeds the caller's
-    tolerance anywhere.
+    The tail beyond the truncated support is completed exactly, so
+    ``truncation_estimate`` is a rounding bound: density-level, per grid
+    point, the panel-sum and tail-completion rounding propagated through
+    |psi|**2 (infinite for an empty support).  ``flagged`` is set when the
+    estimate exceeds the caller's tolerance anywhere.
     """
 
     profile: DensityProfile
@@ -335,29 +342,26 @@ def _kernel(scenario: Scenario, xs) -> _Kernel:
     return _Kernel(alpha, v, m * v / hbar, scenario.k, z, row, modes)
 
 
-def _tail_series(alpha, kappa, b):
-    """IBP series of int_{-inf}^{b} exp(i(alpha x'^2 + kappa x')) dx', per kappa.
+def _tail(alpha, kappa, b):
+    """int_{-inf}^{b} exp(i(alpha x'^2 + kappa x')) dx', exactly, per kappa.
 
-    ``kappa`` is an array; returns (values, first_neglected_magnitudes).
-    Each element sums terms until the next one would grow, or until
-    ``_TAIL_TERMS`` + 1 terms are in.  The stationary points
-    -kappa / (2 alpha) must lie well right of b; the caller guards this.
+    Completing the square with X = sqrt(alpha) (b + kappa / (2 alpha))
+    turns it into the Fresnel integral
+
+        e^{i(alpha b^2 + kappa b)} 1/2 sqrt(pi/alpha) e^{i pi/4} w(-X e^{i pi/4}),
+
+    valid on both sides of the stationary point -kappa / (2 alpha).
+    ``kappa`` is an array; returns (values, relative rounding bounds
+    4 eps (1 + |alpha b^2 + kappa b| + X^2)): the phase carries eps times
+    its size, and below the real axis (X > 0) ``wofz`` rounds
+    e^{-z^2} = e^{-i X^2} to eps X^2.
     """
-    dphi = 2.0 * alpha * b + kappa
-    ddphi = 2.0 * alpha
-    den = 1j * dphi * dphi
-    term = 1.0 / (1j * dphi)
-    total = np.zeros_like(term)
-    neglected = np.zeros(dphi.shape)
-    live = np.ones(dphi.shape, dtype=bool)
-    for n in range(_TAIL_TERMS + 1):
-        total[live] += term[live]
-        nxt = term * (2 * n + 1) * ddphi / den
-        stop = live & ((np.abs(nxt) >= np.abs(term)) | (n == _TAIL_TERMS))
-        neglected[stop] = np.abs(nxt[stop])
-        live &= ~stop
-        term = nxt
-    return np.exp(1j * (alpha * b * b + kappa * b)) * total, neglected
+    sqrt_alpha = math.sqrt(alpha)
+    x = sqrt_alpha * (b + kappa / (2.0 * alpha))
+    phase = alpha * b * b + kappa * b
+    rot = np.exp(0.25j * np.pi)
+    val = np.exp(1j * phase) * (0.5 * math.sqrt(math.pi) / sqrt_alpha * rot) * wofz(-x * rot)
+    return val, 4.0 * np.finfo(float).eps * (1.0 + np.abs(phase) + x * x)
 
 
 def _panel_sum(kern: _Kernel, w_len: float, n_panels: int):
@@ -455,12 +459,11 @@ def evolve_quadrature(
     """Superposition-integral oracle on the truncated support [-W, 0].
 
     Panel Gauss-Legendre quadrature with at most pi/4 of phase variation
-    per panel plus the integration-by-parts completion of the tail beyond
-    -W, both read from one factorization of the integrand (``_Kernel``).  The
-    reported per-point truncation estimate is the first neglected
-    completion term (conservative for this alternating-type series);
-    points whose estimate exceeds ``tolerance`` flag the result.  Points
-    beyond a static or moving mirror raise ``OracleConfigError``.
+    per panel plus the exact completion of the tail beyond -W, both read
+    from one factorization of the integrand (``_Kernel``).  The reported
+    per-point estimate bounds the rounding of both parts; points whose
+    estimate exceeds ``tolerance`` flag the result.  Points beyond a
+    static or moving mirror raise ``OracleConfigError``.
     """
     if scenario.time <= 0:
         raise OracleConfigError("oracle evolution requires scenario.time > 0")
@@ -469,17 +472,14 @@ def evolve_quadrature(
     t = scenario.time
     w_len = config.truncation_window
     xs = np.asarray(xs, dtype=float)
-    spread = math.sqrt(hbar * t / m)
 
     if scenario.mirror.kind is not MirrorKind.SUDDEN_REMOVAL and np.any(
         xs > scenario.mirror_position
     ):
         raise OracleConfigError("evaluation points must not lie beyond the mirror")
 
-    # panel quadrature over the truncated support [-W, 0]
-    psi = np.zeros(xs.shape, dtype=complex)
-    est_amp = np.zeros(xs.shape)
     if w_len > 0.0:
+        # panel quadrature over the truncated support [-W, 0]
         kern = _kernel(scenario, xs)
         k, alpha, beta = kern.k, kern.alpha, kern.beta
         max_off = float(np.max(np.abs(xs))) + abs(kern.v) * t
@@ -489,42 +489,35 @@ def evolve_quadrature(
         n_panels = max(int(math.ceil(w_len / h)), 1)
         psi = _panel_sum(kern, w_len, n_panels)
 
-        # completion of the (-inf, -W] tail: the factored integrand expands
-        # into terms row_i * c * e^{i(alpha x'^2 + kappa x')} with
-        # kappa = s 2 alpha z_i +- k - beta, one IBP series each; a term whose
-        # stationary point lies too close to (or inside) the tail cannot be
-        # completed and leaves an infinite estimate
-        guard = 10.0 * spread
-        for s, a in kern.modes:
-            for sk, c in ((k, a), (-k, -a)):
-                kappa = s * 2.0 * alpha * kern.z + sk - beta
-                ok = -kappa / (2.0 * alpha) - guard > -w_len
-                est_amp[~ok] = np.inf
-                val, neglected = _tail_series(alpha, kappa[ok], -w_len)
-                rc = kern.row[ok] * c
-                psi[ok] += rc * val
-                est_amp[ok] += np.abs(rc) * neglected
-
         # round-off floor of the panel sum: it assembles each node's phase
         # from per-group parts, whose magnitudes add up to at most
         # alpha*(|x|+W)**2 + kappa*W radians, and per-offset parts of a few
         # tens of radians; each part carries a rounding error of order eps
         # times its own magnitude, so a node's phase error stays within
         # about eps times that bound, as when the phase was formed per node,
-        # and maps into amplitude error; without this floor the completion
-        # term alone would understate the achievable accuracy
+        # and maps into amplitude error
         phase_max = alpha * (max_off + w_len) ** 2 + kap_max * w_len
         abs_kernel_mass = 2.0 * np.sqrt(m / (2.0 * np.pi * hbar * t)) * w_len
         n_terms = 2 * len(kern.modes)
         roundoff = np.finfo(float).eps * (1.0 + phase_max) * abs_kernel_mass * n_terms
-        est_amp += np.where(np.isfinite(est_amp), roundoff, 0.0)
-    else:
-        est_amp[:] = np.inf
+        est_amp = np.full(xs.shape, roundoff)
 
-    dens = np.abs(psi) ** 2
-    est_dens = np.full(xs.shape, np.inf)
-    ok = np.isfinite(est_amp)
-    est_dens[ok] = 2.0 * np.sqrt(dens[ok]) * est_amp[ok] + est_amp[ok] ** 2
+        # exact completion of the (-inf, -W] tail: the factored integrand
+        # expands into terms row_i * c * e^{i(alpha x'^2 + kappa x')} with
+        # kappa = s 2 alpha z_i +- k - beta, each adding its rounding bound
+        for s, a in kern.modes:
+            for sk, c in ((k, a), (-k, -a)):
+                kappa = s * 2.0 * alpha * kern.z + sk - beta
+                val, rel = _tail(alpha, kappa, -w_len)
+                term = kern.row * c * val
+                psi += term
+                est_amp += rel * np.abs(term)
+        dens = np.abs(psi) ** 2
+        est_dens = 2.0 * np.sqrt(dens) * est_amp + est_amp**2
+    else:
+        dens = np.zeros(xs.shape)
+        est_dens = np.full(xs.shape, np.inf)
+
     flagged = bool(tolerance is not None and np.any(est_dens > tolerance))
     prof = DensityProfile(scenario, xs, dens)
     return QuadratureResult(profile=prof, truncation_estimate=est_dens, flagged=flagged)

@@ -4,10 +4,10 @@ These are the independent oracles the library is validated against:
 direct mpmath evaluation of erfc/Fresnel and the wave building blocks,
 kept deliberately separate from the package's own algorithms, the
 Fresnel power series, plus the straightforward forms of the numerical
-oracles' inner loops (the stepped Crank-Nicolson product, the
-unfactored free and moving-wall propagators and the scalar
-tail-completion series) that the library replaces with closed-form,
-factored and vectorised equivalents.  It also holds helpers only
+oracles' inner loops (the stepped Crank-Nicolson product and the
+unfactored free and moving-wall propagators) that the library replaces
+with closed-form and factored equivalents, and the half-line Fresnel
+integral of the quadrature tail in 40 digits.  It also holds helpers only
 the tests use: erfc of a complex argument built on the package's
 Faddeeva kernel, the scaled Moshinsky argument z and the large-|z|
 expansion of M, the grid-oracle refinement step of convergence
@@ -207,25 +207,22 @@ def propagator_moving_wall(x, t: float, xp, tp: float, v: float, context):
     return complex(val[()]) if val.ndim == 0 else val
 
 
-def tail_series_loop(alpha, kappa, b, max_terms):
-    """IBP series of int_{-inf}^{b} exp(i(alpha x'^2 + kappa x')) dx' for one kappa.
+def half_line_fresnel_ref(alpha, kappa, b) -> complex:
+    """int_{-inf}^{b} exp(i(alpha x'^2 + kappa x')) dx' in 40-digit arithmetic.
 
-    The scalar loop the quadrature oracle's vectorised tail completion
-    replaces: terms are summed until the next one would grow, or until
-    max_terms + 1 are in.  Returns (value, first_neglected_magnitude).
+    With X = sqrt(alpha) (b + kappa / (2 alpha)) the integral is
+    e^{-i kappa^2 / (4 alpha)} / sqrt(alpha) * int_{-inf}^{X} e^{i u^2} du,
+    and int_{-inf}^{X} e^{i u^2} du = sqrt(pi)/2 e^{i pi/4}
+    + sqrt(pi/2) (C + i S)(X sqrt(2/pi)) with mpmath's Fresnel C and S.
     """
-    dphi = 2.0 * alpha * b + kappa
-    ddphi = 2.0 * alpha
-    total = 0.0 + 0.0j
-    term = 1.0 / (1j * dphi)
-    n = 0
-    while True:
-        total += term
-        nxt = term * (2 * n + 1) * ddphi / (1j * dphi * dphi)
-        n += 1
-        if n > max_terms or abs(nxt) >= abs(term):
-            return np.exp(1j * (alpha * b * b + kappa * b)) * total, abs(nxt)
-        term = nxt
+    with mp.workdps(40):
+        a, k, bb = mp.mpf(alpha), mp.mpf(kappa), mp.mpf(b)
+        x = mp.sqrt(a) * (bb + k / (2 * a))
+        s = x * mp.sqrt(2 / mp.pi)
+        half_line = mp.sqrt(mp.pi) / 2 * mp.expjpi(mp.mpf(1) / 4) + mp.sqrt(mp.pi / 2) * (
+            mp.fresnelc(s) + 1j * mp.fresnels(s)
+        )
+        return complex(mp.expj(-k * k / (4 * a)) / mp.sqrt(a) * half_line)
 
 
 def fresnel_series(theta):
