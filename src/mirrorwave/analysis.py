@@ -126,8 +126,9 @@ def _analysis_window(p: DensityProfile):
     """(lo, hi, mirror_side) bounds of the fringe search window."""
     s = p.scenario
     kind = s.mirror.kind
-    if kind is MirrorKind.STATIC:
-        raise AnalysisError("a static mirror produces no travelling fringes")
+    if kind is MirrorKind.STATIC or (kind is MirrorKind.MOVING and s.mirror_velocity <= 0.0):
+        # only the standing wave in front of the mirror would be found
+        raise AnalysisError("a static or approaching mirror has no travelling front fringe")
     delta = fringe_scale(s)
     if kind is MirrorKind.MOVING and s.mirror_velocity < s.v_k:
         cp = critical_points(s)
@@ -150,7 +151,8 @@ def main_fringe(p: DensityProfile) -> FringeStats:
     the one adjacent to the mirror, which tends to the asymptotic
     standing wave -- is taken as the main peak.  In every case p_min is
     the first local minimum behind (left of) the peak, per the contrast
-    definition V = (P_max - P_min)/(P_max + P_min).
+    definition V = (P_max - P_min)/(P_max + P_min).  A mirror that does
+    not recede leaves no travelling front and raises ``AnalysisError``.
     """
     lo, hi, mirror_side = _analysis_window(p)
     xs, d = p.xs, p.densities

@@ -212,6 +212,7 @@ def cmd_components(args) -> int:
 def cmd_cornu(args) -> int:
     theta = np.linspace(args.theta_min, args.theta_max, args.points)
     c, s = analysis.universal_enhanced, analysis.universal_ordinary
+    # imported when the command runs, so perfbench's trace of specialfn.fresnel counts it
     from .specialfn import fresnel
 
     cc, ss = fresnel(theta)

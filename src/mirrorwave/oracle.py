@@ -292,8 +292,8 @@ class QuadratureResult:
     The tail beyond the truncated support is completed exactly, so
     ``truncation_estimate`` is a rounding bound: density-level, per grid
     point, the panel-sum and tail-completion rounding propagated through
-    |psi|**2 (infinite for an empty support).  ``flagged`` is set when the
-    estimate exceeds the caller's tolerance anywhere.
+    |psi|**2.  ``flagged`` is set when the estimate exceeds the caller's
+    tolerance anywhere.
     """
 
     profile: DensityProfile
@@ -478,45 +478,41 @@ def evolve_quadrature(
     ):
         raise OracleConfigError("evaluation points must not lie beyond the mirror")
 
-    if w_len > 0.0:
-        # panel quadrature over the truncated support [-W, 0]
-        kern = _kernel(scenario, xs)
-        k, alpha, beta = kern.k, kern.alpha, kern.beta
-        max_off = float(np.max(np.abs(xs))) + abs(kern.v) * t
-        kap_max = k + abs(beta)
-        dphi_max = 2.0 * alpha * (max_off + w_len) + kap_max
-        h = (np.pi / 4.0) / dphi_max
-        n_panels = max(int(math.ceil(w_len / h)), 1)
-        psi = _panel_sum(kern, w_len, n_panels)
+    # panel quadrature over the truncated support [-W, 0]
+    kern = _kernel(scenario, xs)
+    k, alpha, beta = kern.k, kern.alpha, kern.beta
+    max_off = float(np.max(np.abs(xs))) + abs(kern.v) * t
+    kap_max = k + abs(beta)
+    dphi_max = 2.0 * alpha * (max_off + w_len) + kap_max
+    h = (np.pi / 4.0) / dphi_max
+    n_panels = max(int(math.ceil(w_len / h)), 1)
+    psi = _panel_sum(kern, w_len, n_panels)
 
-        # round-off floor of the panel sum: it assembles each node's phase
-        # from per-group parts, whose magnitudes add up to at most
-        # alpha*(|x|+W)**2 + kappa*W radians, and per-offset parts of a few
-        # tens of radians; each part carries a rounding error of order eps
-        # times its own magnitude, so a node's phase error stays within
-        # about eps times that bound, as when the phase was formed per node,
-        # and maps into amplitude error
-        phase_max = alpha * (max_off + w_len) ** 2 + kap_max * w_len
-        abs_kernel_mass = 2.0 * np.sqrt(m / (2.0 * np.pi * hbar * t)) * w_len
-        n_terms = 2 * len(kern.modes)
-        roundoff = np.finfo(float).eps * (1.0 + phase_max) * abs_kernel_mass * n_terms
-        est_amp = np.full(xs.shape, roundoff)
+    # round-off floor of the panel sum: it assembles each node's phase
+    # from per-group parts, whose magnitudes add up to at most
+    # alpha*(|x|+W)**2 + kappa*W radians, and per-offset parts of a few
+    # tens of radians; each part carries a rounding error of order eps
+    # times its own magnitude, so a node's phase error stays within
+    # about eps times that bound, as when the phase was formed per node,
+    # and maps into amplitude error
+    phase_max = alpha * (max_off + w_len) ** 2 + kap_max * w_len
+    abs_kernel_mass = 2.0 * np.sqrt(m / (2.0 * np.pi * hbar * t)) * w_len
+    n_terms = 2 * len(kern.modes)
+    roundoff = np.finfo(float).eps * (1.0 + phase_max) * abs_kernel_mass * n_terms
+    est_amp = np.full(xs.shape, roundoff)
 
-        # exact completion of the (-inf, -W] tail: the factored integrand
-        # expands into terms row_i * c * e^{i(alpha x'^2 + kappa x')} with
-        # kappa = s 2 alpha z_i +- k - beta, each adding its rounding bound
-        for s, a in kern.modes:
-            for sk, c in ((k, a), (-k, -a)):
-                kappa = s * 2.0 * alpha * kern.z + sk - beta
-                val, rel = _tail(alpha, kappa, -w_len)
-                term = kern.row * c * val
-                psi += term
-                est_amp += rel * np.abs(term)
-        dens = np.abs(psi) ** 2
-        est_dens = 2.0 * np.sqrt(dens) * est_amp + est_amp**2
-    else:
-        dens = np.zeros(xs.shape)
-        est_dens = np.full(xs.shape, np.inf)
+    # exact completion of the (-inf, -W] tail: the factored integrand
+    # expands into terms row_i * c * e^{i(alpha x'^2 + kappa x')} with
+    # kappa = s 2 alpha z_i +- k - beta, each adding its rounding bound
+    for s, a in kern.modes:
+        for sk, c in ((k, a), (-k, -a)):
+            kappa = s * 2.0 * alpha * kern.z + sk - beta
+            val, rel = _tail(alpha, kappa, -w_len)
+            term = kern.row * c * val
+            psi += term
+            est_amp += rel * np.abs(term)
+    dens = np.abs(psi) ** 2
+    est_dens = 2.0 * np.sqrt(dens) * est_amp + est_amp**2
 
     flagged = bool(tolerance is not None and np.any(est_dens > tolerance))
     prof = DensityProfile(scenario, xs, dens)

@@ -8,9 +8,10 @@ being weakened:
 
 * criterion 1 asserts the enhancement bound 1.816 +- 0.002, but the
   exact maximum of the enhanced universal curve is 1.8014163538604137
-  (three independent routes agree: the Fresnel kernel, the closed-form
-  wavefunction at matched velocities, and arbitrary-precision erf); the
-  test still verifies both computation routes agree with each other.
+  (three independent routes agree: scipy's Fresnel integrals, the
+  closed-form wavefunction at matched velocities, and arbitrary-precision
+  erf); the test still verifies both computation routes agree with each
+  other.
 * criterion 4 bounds the density 1 nm inside the mirror by 1e-10, but
   the true wavefunction there follows the forming standing wave,
   |psi|^2 = 4 sin^2(k' * 1 nm) ~ 1.9e-4 at the slow-mirror parameters,

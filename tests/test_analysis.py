@@ -126,6 +126,15 @@ class TestMainFringe:
         with pytest.raises(AnalysisError):
             main_fringe(profile(s, xs))
 
+    @pytest.mark.parametrize("v", [0.0, -0.003])
+    def test_resting_or_approaching_mirror_raises(self, v):
+        # the profile holds only the standing wave in front of the mirror
+        t = 10e-3
+        s = Scenario(CTX, K1, MirrorLaw.moving(v), t)
+        xs = np.linspace(-150e-6, v * t, 20001)
+        with pytest.raises(AnalysisError, match="approaching"):
+            main_fringe(profile(s, xs))
+
     def test_window_without_extrema_raises(self):
         s = unit_scenario()
         xs = np.linspace(0.0, 4 * np.pi, 200)
@@ -245,6 +254,13 @@ class TestEnhancementScan:
         scan = enhancement_scan([1.05, 2.0, 5.0, 20.0, 100.0, 1000.0], s)
         peaks = [p.p_max for p in scan]
         assert all(b < a for a, b in zip(peaks, peaks[1:]))
+
+    def test_slow_mirrors_reach_full_contrast(self):
+        # below beam speed the main fringe is the reflected front's
+        s = Scenario(CTX, K1, MirrorLaw.sudden_removal(), 10e-3)
+        scan = enhancement_scan([0.3, 0.5, 0.8], s)
+        assert [p.v_over_vk for p in scan] == [0.3, 0.5, 0.8]
+        assert all(p.visibility >= 0.9999 for p in scan)
 
     def test_rejects_nonpositive_ratio(self):
         s = Scenario(CTX, K1, MirrorLaw.sudden_removal(), 20e-3)

@@ -257,19 +257,32 @@ class TestOracleCommand:
         manifest, _, _ = read_table(out)
         assert float(manifest["time_step_s"]) == 5e-8
 
-    def test_small_truncation_window_passes(self, tmp_path):
-        # a 20 um support puts the stationary points of many window points
-        # in the tail; it is completed exactly, so the estimate stays finite
-        out = tmp_path / "w20.csv"
+    def test_grid_points_override(self, tmp_path):
+        out = tmp_path / "n.csv"
         rc = main(
-            "oracle --vk 1.0 --v 0.8 --t 10 --oracle quadrature --tolerance 1e-3 "
-            "--trunc-um 20 --out".split()
+            "oracle --vk 1.0 --static --t 2 --oracle grid --tolerance 1e-3 --grid-points 32768 "
+            "--out".split()
             + [str(out)]
         )
         assert rc == 0
         manifest, _, _ = read_table(out)
-        assert manifest["validation"] == "pass"
-        assert np.isfinite(float(manifest["max_truncation_estimate"]))
+        assert int(manifest["grid_points"]) == 32768
+
+    def test_small_truncation_window_passes(self, tmp_path):
+        # a 20 um support puts the stationary points of many window points
+        # in the tail, and a 0 um support leaves only the tail; it is
+        # completed exactly, so the estimate stays finite
+        for trunc_um in ("20", "0"):
+            out = tmp_path / f"w{trunc_um}.csv"
+            rc = main(
+                "oracle --vk 1.0 --v 0.8 --t 10 --oracle quadrature --tolerance 1e-3 "
+                "--trunc-um".split()
+                + [trunc_um, "--out", str(out)]
+            )
+            assert rc == 0, trunc_um
+            manifest, _, _ = read_table(out)
+            assert manifest["validation"] == "pass"
+            assert np.isfinite(float(manifest["max_truncation_estimate"]))
 
     def test_window_beyond_static_wall_exit_1(self, tmp_path, capsys):
         rc = main(

@@ -209,14 +209,24 @@ class TestQuadratureOracle:
         actual = np.abs(res.profile.densities - ana.densities)
         assert np.all(actual <= res.truncation_estimate)
 
-    def test_zero_support_gives_zero_state(self):
-        t = 5e-3
-        s = Scenario(CTX, K1, MirrorLaw.moving(0.005), t)
-        cfg = replace(default_config(s), truncation_window=0.0)
-        xs = np.linspace(-1e-5, 1e-5, 11)
-        res = evolve_quadrature(s, cfg, xs, tolerance=1e-4)
-        assert np.all(res.profile.densities == 0.0)
-        assert res.flagged
+    def test_zero_support_is_the_exact_tail(self):
+        # W = 0 leaves no panel sum: the tail completion from b = 0 is the
+        # whole integral and still matches the closed form within its estimate
+        t = 10e-3
+        laws = (
+            MirrorLaw.moving(0.005),
+            MirrorLaw.moving(-0.004),
+            MirrorLaw.static(),
+            MirrorLaw.sudden_removal(),
+        )
+        for law in laws:
+            s = Scenario(CTX, K1, law, t)
+            cfg = replace(default_config(s), truncation_window=0.0)
+            xs = np.linspace(*cfg.comparison_window, 41)
+            res = evolve_quadrature(s, cfg, xs, tolerance=1e-4)
+            err = np.abs(res.profile.densities - profile(s, xs).densities)
+            assert np.all(err <= res.truncation_estimate), law
+            assert not res.flagged, law
 
     @pytest.mark.parametrize(
         "law",

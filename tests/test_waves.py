@@ -408,6 +408,11 @@ class TestClassicalDensity:
         assert classical_density(50e-6, 10e-3, s) == 1.0
         assert classical_density(150e-6, 10e-3, s) == 0.0
 
+    def test_static_mirror(self):
+        s = Scenario(CTX, CTX.wavenumber(0.01), MirrorLaw.static(), 10e-3)
+        x = np.array([-150e-6, -1e-9, 0.0, 1e-6])
+        assert list(classical_density(x, 10e-3, s)) == [2.0, 2.0, 0.0, 0.0]
+
     def test_approaching_mirror_not_modelled(self):
         s = Scenario(CTX, CTX.wavenumber(0.01), MirrorLaw.moving(-0.005), 10e-3)
         with pytest.raises(ValueError):
@@ -426,6 +431,12 @@ class TestPsiNearLimit:
         x = np.linspace(0, vk * t, 200001)
         peak = (np.abs(psi_near_limit(x, t, s)) ** 2).max()
         assert peak == pytest.approx(1.8014163538604137, abs=2e-7)
+
+    @pytest.mark.parametrize("law", [MirrorLaw.static(), MirrorLaw.sudden_removal()])
+    def test_requires_moving_mirror(self, law):
+        s = Scenario(CTX, CTX.wavenumber(0.01), law, 5e-3)
+        with pytest.raises(ValueError, match="finite-velocity"):
+            psi_near_limit(1e-6, 5e-3, s)
 
     def test_matches_full_solution_at_equal_velocities(self):
         vk, t = 0.01, 20e-3
