@@ -22,6 +22,7 @@ codes and stderr prefixes.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from contextlib import nullcontext
 from dataclasses import replace
@@ -50,7 +51,7 @@ from .physics import (
 from .waves import critical_points, psi_moving
 
 FORMAT_VERSION = 1
-# CSV rows are formatted and written this many at a time, one `%` call per block
+# CSV rows are formatted and written this many at a time
 _BLOCK_ROWS = 4096
 
 
@@ -67,7 +68,96 @@ def _fmt(value) -> str:
     return str(value)
 
 
+# Tables of the "%.12g" cell formatter.  Byte k of a uint64 word is its kth
+# character; NUL bytes are padding that is dropped from the finished text.
+_U8, _U32, _U56, _MINUS = np.uint64(8), np.uint64(32), np.uint64(56), np.uint64(ord("-"))
+_DIGITS = np.ix_(*[np.arange(10)] * 4)  # the digits of 0 ... 9999, by place
+# the ASCII of each zero-padded group of 4 digits, as one word
+_GROUP = sum((d + ord("0")).astype(np.uint64) << np.uint64(8 * k) for k, d in enumerate(_DIGITS))
+_GROUP = _GROUP.ravel()
+# for group j = 0, 1, 2 of the 12 digits: the digits up to its last nonzero
+# one, counted from the first of the 12 (0 for the group 0000)
+_last = np.max(np.broadcast_arrays(*[(d > 0) * (k + 1) for k, d in enumerate(_DIGITS)]), 0)
+_SIG = np.where(_last.ravel() > 0, _last.ravel() + [[0], [4], [8]], 0)
+
+
+def _split(values) -> np.ndarray:
+    """16-byte integers as (low words, high words)."""
+    return np.array([(v & (2**64 - 1), v >> 64) for v in values], dtype=np.uint64).T
+
+
+def _words(texts) -> np.ndarray:
+    return np.frombuffer(b"".join(t.encode().ljust(8, b"\0") for t in texts), "<u8")
+
+
+_KEEP = _split((1 << 8 * k) - 1 for k in range(14))  # the first k bytes of 16
+_DOT = _split(ord(".") << 8 * p if p else 0 for p in range(13))  # "." as byte p; none at 0
+# By decimal exponent X = -13 ... 36, at index X + 13: the power of ten that
+# scales |x| to 12 integer digits (NaN where it is not exact, |11 - X| > 22),
+# the text before the digits (byte 0 is the sign's) and after them, and the
+# digits before the point (0 when the point is in the prefix).  Index 0 is zero's.
+_XS = range(-13, 37)
+_TEN = np.array([float(10 ** abs(11 - x)) if abs(11 - x) <= 22 else np.nan for x in _XS])
+_UP, _DOWN = np.where(np.array(_XS) <= 11, _TEN, 1.0), np.where(np.array(_XS) > 11, _TEN, 1.0)
+_PREFIX = _words("\0" + ("0." + "0" * (-1 - x) if -4 <= x < 0 else "0" * (x == -13)) for x in _XS)
+_SUFFIX = _words("" if x == -13 or -4 <= x < 12 else f"e{x:+03d}" for x in _XS)
+_POINT = np.array([x + 1 if 0 <= x < 12 else 0 if x == -13 or -4 <= x < 0 else 1 for x in _XS])
+
+
+def _format_rows(block: np.ndarray) -> str:
+    """The rows of a 2-D float block as "%.12g" cells, comma-separated, one line each."""
+    x = block.ravel()
+    a = np.abs(x)
+    fast = np.isfinite(a) & (a > 0)
+    a = np.where(fast, a, 1.0)
+    e = np.clip(np.floor(np.log10(a)), -12, 35).astype(np.intp) + 13
+    m = a * _UP[e] / _DOWN[e]  # correctly rounded |x| * 10**(11 - X)
+    n = np.rint(m)
+    # m is within half an ulp, 6.2e-5, of the exact product, so n is its
+    # 12-digit rounding once m lies clear of the half-way point; X is right
+    # only if m has 12 integer digits (log10 misses by one for about one
+    # value in a million, just below a power of ten)
+    fast &= (np.abs(m - n) <= 0.4997) & (m >= 1e11) & (m < 1e12)
+    carry = fast & (n >= 1e12)  # rounded up into the next decade: 1e11 * 10**(X + 1)
+    e = np.where(fast, e + carry, 0)  # zeros and fallback cells take zero's layout
+    i = np.where(fast, np.where(carry, 1e11, n), 0).astype(np.intp)
+    g0, g1, g2 = i // 10**8, i // 10**4 % 10**4, i % 10**4
+    lo, hi = _GROUP[g0] | _GROUP[g1] << _U32, _GROUP[g2]
+    # splice the point in as byte p; the bytes behind it move up by one
+    p = _POINT[e]
+    head_lo, head_hi = _KEEP[0][p], _KEEP[1][p]
+    tail = lo & ~head_lo
+    hi = (hi & head_hi) | (hi & ~head_hi) << _U8 | tail >> _U56 | _DOT[1][p]
+    lo = (lo & head_lo) | tail << _U8 | _DOT[0][p]
+    # keep the digits up to the last nonzero one, and the point only before one
+    nd = np.maximum(np.maximum(_SIG[0][g0], _SIG[1][g1]), _SIG[2][g2])
+    keep = np.where(nd > p, nd + 1, p)
+    sep = np.full(block.shape, ord(","), np.uint64)
+    sep[:, -1] = ord("\n")
+    sep = sep.ravel() << _U56
+    cells = np.stack([np.signbit(x) * _MINUS | _PREFIX[e], lo & _KEEP[0][keep],
+                      hi & _KEEP[1][keep], _SUFFIX[e] | sep], axis=1).astype("<u8", copy=False)
+    # zeros are done; non-finite values, X out of reach of the exact powers of
+    # ten and uncertain roundings take Python's own "%.12g"
+    slow = np.flatnonzero(~fast & (x != 0))
+    if slow.size:
+        text = b"".join(("%.12g" % v).encode().ljust(24, b"\0") for v in x[slow].tolist())
+        cells[slow, :3] = np.frombuffer(text, "<u8").reshape(-1, 3)
+        cells[slow, 3] = sep[slow]
+    return cells.tobytes().translate(None, b"\0").decode("ascii")
+
+
 def _write_table(path: str, command: str, params: dict, columns, rows) -> None:
+    """Write a manifest header and the rows as CSV, to ``path`` or stdout for "-".
+
+    Rows go out in blocks of _BLOCK_ROWS, and each cell reads exactly as
+    f"{x:.12g}".  ``_format_rows`` builds that text with numpy: it rounds
+    |x| * 10**(11 - X) to 12 digits, where X is the decimal exponent, and
+    lays out sign, digits, point and exponent as the "%g" rules ask.  A
+    cell falls back to Python's "%.12g" when the value is not finite, when
+    10**(11 - X) is not an exact double (X < -11 or X > 33), when the
+    scaled value lies within 3e-4 of a rounding tie, or when log10 missed X.
+    """
     stamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
     head = [
         f"# mirrorwave {command} (format_version = {FORMAT_VERSION})",
@@ -76,13 +166,10 @@ def _write_table(path: str, command: str, params: dict, columns, rows) -> None:
     head += [f"# {key} = {_fmt(value)}" for key, value in params.items()]
     head.append(",".join(columns))
     rows = np.asarray(rows, dtype=float)
-    # "%.12g" % x and f"{x:.12g}" give the same text for every float64
-    template = ",".join(["%.12g"] * rows.shape[1]) + "\n"
     with nullcontext(sys.stdout) if path == "-" else open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(head) + "\n")
         for start in range(0, len(rows), _BLOCK_ROWS):
-            block = rows[start : start + _BLOCK_ROWS]
-            fh.write(template * len(block) % tuple(block.ravel().tolist()))
+            fh.write(_format_rows(rows[start : start + _BLOCK_ROWS]))
 
 
 def _component_columns(wc) -> list:
@@ -97,11 +184,26 @@ def _count(text: str) -> int:
     return n
 
 
+def _finite(text: str) -> float:
+    """argparse type: a finite float."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite (got {text})")
+    return value
+
+
 def _velocity_list(text: str) -> list:
-    """argparse type: a non-empty comma-separated list of velocities (cm/s)."""
+    """argparse type: a non-empty comma-separated list of distinct velocities (cm/s).
+
+    Velocities are distinct when their column tags, ``_fmt(v)``, differ.
+    """
     vks = [float(v) for v in text.split(",") if v]
     if not vks:
         raise argparse.ArgumentTypeError("expects a comma-separated list of cm/s values")
+    tags = [_fmt(v) for v in vks]
+    repeated = sorted({tag for tag in tags if tags.count(tag) > 1})
+    if repeated:
+        raise argparse.ArgumentTypeError(f"repeats velocity {', '.join(repeated)}")
     return vks
 
 
@@ -171,8 +273,8 @@ def _add_scenario_flags(p, mirror_required: bool = False):
 
 
 def _add_grid_flags(p):
-    p.add_argument("--xmin", type=float, help="left grid edge (um)")
-    p.add_argument("--xmax", type=float, help="right grid edge (um)")
+    p.add_argument("--xmin", type=_finite, help="left grid edge (um)")
+    p.add_argument("--xmax", type=_finite, help="right grid edge (um)")
     p.add_argument("--points", type=_count, default=2000, help="grid points (default 2000)")
 
 
@@ -349,8 +451,8 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=cmd_components)
 
     p = sub.add_parser("cornu", help="universal Cornu-spiral representation")
-    p.add_argument("--theta-min", type=float, default=-3.0)
-    p.add_argument("--theta-max", type=float, default=3.0)
+    p.add_argument("--theta-min", type=_finite, default=-3.0)
+    p.add_argument("--theta-max", type=_finite, default=3.0)
     p.add_argument("--points", type=_count, default=601)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_cornu)
@@ -361,8 +463,8 @@ def _build_parser() -> _Parser:
     )
     p.add_argument("--t", type=float, required=True, help="evolution time (ms)")
     p.add_argument("--species", choices=SPECIES_MASSES, default="87Rb")
-    p.add_argument("--ratio-min", type=float, default=1.1)
-    p.add_argument("--ratio-max", type=float, default=10.0)
+    p.add_argument("--ratio-min", type=_finite, default=1.1)
+    p.add_argument("--ratio-max", type=_finite, default=10.0)
     p.add_argument("--ratio-points", type=_count, default=20)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_visibility)
@@ -371,8 +473,8 @@ def _build_parser() -> _Parser:
     _add_scenario_flags(p)
     p.add_argument("--oracle", choices=("grid", "quadrature"), required=True)
     p.add_argument("--tolerance", type=float, required=True, help="max abs density error")
-    p.add_argument("--window-lo", type=float, help="comparison window left edge (um)")
-    p.add_argument("--window-hi", type=float, help="comparison window right edge (um)")
+    p.add_argument("--window-lo", type=_finite, help="comparison window left edge (um)")
+    p.add_argument("--window-hi", type=_finite, help="comparison window right edge (um)")
     p.add_argument("--domain-um", type=float, help="override grid-oracle domain length (um)")
     p.add_argument("--grid-points", type=int, help="override grid intervals N")
     p.add_argument("--dt-us", type=float, help="override time step (microseconds)")

@@ -106,6 +106,68 @@ class TestWriteTable:
         expected = [",".join(f"{v:.12g}" for v in row) for row in rows.tolist()] + [""]
         assert self.data_lines(out) == expected
 
+    def test_sweep_matches_per_cell_format(self, tmp_path):
+        # ~1.0e6 cells that stress the numpy path: its exponent range, rounding
+        # ties, carries into the next decade, trailing zeros and the edges of
+        # the "%g" forms, plus the values it leaves to Python's "%.12g"
+        rng = np.random.default_rng(13)
+        n = 100_000
+
+        def signed(v):
+            return v * rng.choice([-1.0, 1.0], v.size)
+
+        def neighbours(v):
+            return np.concatenate([v, np.nextafter(v, -np.inf), np.nextafter(v, np.inf)])
+
+        spread = rng.uniform(1.0, 10.0, 9 * n // 2) * 10.0 ** rng.integers(-11, 34, 9 * n // 2)
+        # 12-digit roundings: exact ties at 1e11 ... 1e12 and near ones elsewhere
+        # (all left to Python), and ones 3e-4 ... 1e-3 off a tie (kept)
+        scale = 10.0 ** rng.integers(-22, 23, n // 2)
+        offset = np.where(np.arange(n // 2) < n // 4, 0.0, rng.uniform(3e-4, 1e-3, n // 2))
+        ties = (rng.integers(10**11, 10**12, n // 2) + 0.5 + signed(offset)) * scale
+        ties[: n // 8] = rng.integers(10**11, 10**12, n // 8) + 0.5
+        carries = np.array(
+            [float(f"{m}e{k}") for m in ("9.999999999995", "9.9999999999949", "9.99999999999951")
+             for k in range(-13, 36)]
+        )
+        trailing = rng.integers(1, 10**6, n) * 10.0 ** rng.integers(-16, 28, n)
+        # "%g" switches form between X = -5 and -4 and between 11 and 12; log10
+        # may round up just below a power of ten
+        decades = 10.0 ** np.array([-5.0, -4.0, 12.0])[:, None]
+        edges = np.concatenate(
+            [
+                (decades * (1 + np.arange(-2000, 2000) * 1e-15)).ravel(),
+                neighbours(neighbours(10.0 ** np.arange(-13.0, 36.0))),
+                rng.uniform(1.0, 10.0, n) * 10.0 ** rng.choice([-6, -5, -4, -3, 10, 11, 12, 13], n),
+            ]
+        )
+        bits = rng.integers(1, 2**52, 5000, dtype=np.uint64)  # subnormals
+        special = np.concatenate(
+            [bits.view(np.float64), [0.0, -0.0, np.nan, np.inf, -np.inf, 1.7976931348623157e308]]
+        )
+        cells = np.concatenate(
+            [spread, neighbours(ties), neighbours(carries), trailing, neighbours(edges), special]
+        )
+        cells = signed(rng.permutation(cells))
+        rows = np.resize(cells, (-(-cells.size // 6), 6))
+        assert rows.size >= 1_000_000
+        out = tmp_path / "sweep.csv"
+        _write_table(str(out), "test", {}, list("abcdef"), rows)
+        template = ",".join(["{:.12g}"] * 6)  # f"{v:.12g}" for each cell v of a row
+        expected = [template.format(*row) for row in rows.tolist()] + [""]
+        assert self.data_lines(out) == expected
+
+    @pytest.mark.parametrize("miss", [-1, 1])
+    def test_exponent_miss_falls_back(self, tmp_path, monkeypatch, miss):
+        # a log10 that misses the decimal exponent costs speed, never bytes
+        rows = np.random.default_rng(5).uniform(1.0, 10.0, (300, 4)) * 10.0 ** np.arange(-8, 12, 5)
+        log10 = np.log10
+        monkeypatch.setattr(np, "log10", lambda a: log10(a) + miss)
+        out = tmp_path / "m.csv"
+        _write_table(str(out), "test", {}, ["a", "b", "c", "d"], rows)
+        expected = [",".join(f"{v:.12g}" for v in row) for row in rows.tolist()] + [""]
+        assert self.data_lines(out) == expected
+
     @pytest.mark.parametrize("n", [1, _BLOCK_ROWS, _BLOCK_ROWS + 1])
     def test_row_count_across_block_edges(self, tmp_path, n):
         out = tmp_path / "n.csv"
@@ -316,6 +378,20 @@ class TestOracleCommand:
         "visibility --vk 1.0 --t 50 --species 6Li",
         "profile --vk 1.0 --sudden --t 5 --xmin 5",
         "oracle --vk 1.0 --static --t 2 --oracle grid --tolerance 1e-3 --window-lo -20",
+        # non-finite range flags
+        "profile --vk 1 --static --t 10 --xmin nan --xmax 5 --points 3",
+        "profile --vk 1.0 --sudden --t 5 --xmin -5 --xmax inf",
+        "components --vk 1.0 --v 1.5 --t 5 --xmin=-inf --xmax 5",
+        "cornu --theta-min=-inf",
+        "cornu --theta-max nan",
+        "visibility --vk 1.0 --t 50 --ratio-min nan",
+        "visibility --vk 1.0 --t 50 --ratio-max inf",
+        "oracle --vk 1.0 --static --t 2 --oracle grid --tolerance 1e-3 --window-lo nan --window-hi -5",
+        "oracle --vk 1.0 --static --t 2 --oracle grid --tolerance 1e-3 --window-lo -20 --window-hi inf",
+        # a repeated beam velocity would repeat its columns; 1 and
+        # 1.0000000000001 share the column tag "1"
+        "visibility --vk 1,1 --t 50",
+        "visibility --vk 0.5,1,1.0000000000001 --t 50",
     ],
 )
 def test_usage_error(tmp_path, capsys, argv):
