@@ -192,6 +192,22 @@ def _finite(text: str) -> float:
     return value
 
 
+def _positive(text: str) -> float:
+    """argparse type: a finite float > 0."""
+    value = _finite(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be > 0 (got {text})")
+    return value
+
+
+def _non_negative(text: str) -> float:
+    """argparse type: a finite float >= 0."""
+    value = _finite(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0 (got {text})")
+    return value
+
+
 def _velocity_list(text: str) -> list:
     """argparse type: a non-empty comma-separated list of distinct velocities (cm/s).
 
@@ -472,13 +488,13 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("oracle", help="validate the analytic solution numerically")
     _add_scenario_flags(p)
     p.add_argument("--oracle", choices=("grid", "quadrature"), required=True)
-    p.add_argument("--tolerance", type=float, required=True, help="max abs density error")
+    p.add_argument("--tolerance", type=_positive, required=True, help="max abs density error")
     p.add_argument("--window-lo", type=_finite, help="comparison window left edge (um)")
     p.add_argument("--window-hi", type=_finite, help="comparison window right edge (um)")
-    p.add_argument("--domain-um", type=float, help="override grid-oracle domain length (um)")
+    p.add_argument("--domain-um", type=_positive, help="override grid-oracle domain length (um)")
     p.add_argument("--grid-points", type=int, help="override grid intervals N")
-    p.add_argument("--dt-us", type=float, help="override time step (microseconds)")
-    p.add_argument("--trunc-um", type=float, help="override quadrature support depth (um)")
+    p.add_argument("--dt-us", type=_positive, help="override time step (microseconds)")
+    p.add_argument("--trunc-um", type=_non_negative, help="override quadrature support depth (um)")
     p.add_argument("--points", type=_count, default=201, help="quadrature evaluation points")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_oracle)

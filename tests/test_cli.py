@@ -388,6 +388,21 @@ class TestOracleCommand:
         "visibility --vk 1.0 --t 50 --ratio-max inf",
         "oracle --vk 1.0 --static --t 2 --oracle grid --tolerance 1e-3 --window-lo nan --window-hi -5",
         "oracle --vk 1.0 --static --t 2 --oracle grid --tolerance 1e-3 --window-lo -20 --window-hi inf",
+        # oracle tolerances and config overrides: finite and > 0 (the
+        # support depth --trunc-um finite and >= 0)
+        "oracle --vk 1.0 --static --t 2 --oracle quadrature --tolerance nan --points 3",
+        "oracle --vk 1.0 --static --t 2 --oracle quadrature --tolerance -1 --points 3",
+        "oracle --vk 1.0 --static --t 2 --oracle quadrature --tolerance 0 --points 3",
+        "oracle --vk 1.0 --static --t 2 --oracle quadrature --tolerance inf --points 3",
+        "oracle --vk 1.0 --static --t 2 --oracle grid --tolerance 1e-3 --domain-um nan",
+        "oracle --vk 1.0 --static --t 2 --oracle grid --tolerance 1e-3 --domain-um inf",
+        "oracle --vk 1.0 --static --t 2 --oracle grid --tolerance 1e-3 --domain-um 0",
+        "oracle --vk 1.0 --static --t 2 --oracle grid --tolerance 1e-3 --dt-us nan",
+        "oracle --vk 1.0 --static --t 2 --oracle grid --tolerance 1e-3 --dt-us inf",
+        "oracle --vk 1.0 --static --t 2 --oracle grid --tolerance 1e-3 --dt-us -1",
+        "oracle --vk 1.0 --static --t 2 --oracle quadrature --tolerance 1e-4 --trunc-um nan --points 3",
+        "oracle --vk 1.0 --static --t 2 --oracle quadrature --tolerance 1e-4 --trunc-um inf --points 3",
+        "oracle --vk 1.0 --static --t 2 --oracle quadrature --tolerance 1e-4 --trunc-um -1 --points 3",
         # a repeated beam velocity would repeat its columns; 1 and
         # 1.0000000000001 share the column tag "1"
         "visibility --vk 1,1 --t 50",

@@ -87,6 +87,16 @@ class TestConfigGuards:
             OracleConfig(1e-4, 1024, 0.0, 1e-4, (-1e-5, 1e-5))
         with pytest.raises(ValueError):
             OracleConfig(1e-4, 1024, 1e-8, 1e-4, (1e-5, -1e-5))
+        with pytest.raises(ValueError, match="truncation_window must be >= 0"):
+            OracleConfig(1e-4, 1024, 1e-8, -1e-6, (-1e-5, 1e-5))
+        # a nan passes the "<= 0" and "< 0" tests, and inf the sign tests
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="domain_length must be > 0"):
+                OracleConfig(bad, 1024, 1e-8, 1e-4, (-1e-5, 1e-5))
+            with pytest.raises(ValueError, match="time_step must be > 0"):
+                OracleConfig(1e-4, 1024, bad, 1e-4, (-1e-5, 1e-5))
+            with pytest.raises(ValueError, match="truncation_window must be >= 0"):
+                OracleConfig(1e-4, 1024, 1e-8, bad, (-1e-5, 1e-5))
 
 
 class TestGridOracle:
@@ -344,6 +354,65 @@ class TestQuadratureOracle:
         assert np.all(err <= res.truncation_estimate)
         assert not res.flagged
         assert err.max() <= 1e-4
+
+    @seed(20073)
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(
+        v_k=st.sampled_from([0.005, 0.01]),
+        law=st.one_of(
+            st.floats(min_value=-0.45, max_value=3.0), st.sampled_from(["static", "sudden"])
+        ),
+        t=st.floats(min_value=1e-3, max_value=20e-3),
+    )
+    def test_sweep_default_config(self, v_k, law, t):
+        # default-config runs over a continuous v/v_k in [-0.45, 3], the
+        # static wall and sudden removal, at the c06 bound; v <= -v_k/2 has
+        # no default comparison window, so the sweep stops short of it
+        if law == "static":
+            mirror = MirrorLaw.static()
+        elif law == "sudden":
+            mirror = MirrorLaw.sudden_removal()
+        else:
+            mirror = MirrorLaw.moving(law * v_k)
+        s = Scenario(CTX, CTX.wavenumber(v_k), mirror, t)
+        cfg = default_config(s)
+        xs = np.linspace(*cfg.comparison_window, 41)
+        res = evolve_quadrature(s, cfg, xs, tolerance=1e-4)
+        err = np.abs(res.profile.densities - profile(s, xs).densities)
+        assert np.all(err <= res.truncation_estimate)
+        assert not res.flagged
+        assert err.max() <= 1e-4
+
+    @pytest.mark.parametrize(
+        "law",
+        [
+            MirrorLaw.moving(0.005),
+            MirrorLaw.moving(-0.004),
+            MirrorLaw.moving(0.013),
+            MirrorLaw.static(),
+            MirrorLaw.sudden_removal(),
+        ],
+        ids=["receding", "approaching", "fast", "static", "sudden"],
+    )
+    def test_panel_budget_converged(self, law, monkeypatch):
+        # the panel count evolve_quadrature picks (pi/2 of phase per panel)
+        # agrees with twice as many panels to round-off
+        t = 5e-3
+        s = Scenario(CTX, K1, law, t)
+        cfg = default_config(s)
+        xs = np.linspace(*cfg.comparison_window, 301)
+        calls = []
+
+        def spy(kern, w_len, n_panels):
+            calls.append((kern, w_len, n_panels))
+            return _panel_sum(kern, w_len, n_panels)
+
+        monkeypatch.setattr(oracle, "_panel_sum", spy)
+        evolve_quadrature(s, cfg, xs)
+        (kern, w_len, n_panels), = calls
+        coarse = _panel_sum(kern, w_len, n_panels)
+        fine = _panel_sum(kern, w_len, 2 * n_panels)
+        assert np.abs(coarse - fine).max() <= 1e-11 * np.abs(coarse).max()
 
     def test_points_beyond_mirror_rejected(self):
         t = 5e-3
