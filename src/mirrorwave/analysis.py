@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .physics import MirrorKind, PhysicalContext, Scenario
+from .physics import MirrorKind, MirrorLaw, PhysicalContext, Scenario
 from .specialfn import fresnel
 from .waves import (
     critical_points,
@@ -82,8 +82,6 @@ def profile(scenario: Scenario, xs, with_components: bool = False) -> DensityPro
     The forbidden region beyond a moving mirror reports density zero.
     """
     xs = np.asarray(xs, dtype=float)
-    if scenario.time <= 0.0 and scenario.mirror.kind is not MirrorKind.STATIC:
-        raise ValueError("profile requires scenario.time > 0")
     kind = scenario.mirror.kind
     components = None
     if kind is MirrorKind.STATIC:
@@ -91,7 +89,7 @@ def profile(scenario: Scenario, xs, with_components: bool = False) -> DensityPro
     elif kind is MirrorKind.SUDDEN_REMOVAL:
         dens = np.abs(psi_sudden(xs, scenario.time, scenario.k, scenario.context)) ** 2
     else:
-        wc = psi_moving(xs, scenario.time, scenario)
+        wc = psi_moving(xs, scenario)
         dens = np.abs(wc.psi) ** 2
         if with_components:
             components = wc
@@ -136,7 +134,7 @@ def _analysis_window(p: DensityProfile):
     front = s.v_k * s.time
     hi = front + 6.0 * delta
     if kind is MirrorKind.MOVING:
-        hi = min(hi, s.mirror_velocity * s.time)
+        hi = min(hi, s.mirror_position)
     return front - 12.0 * delta, hi, False
 
 
@@ -263,7 +261,7 @@ def _front_grid(scenario: Scenario) -> np.ndarray:
         step = delta / 64.0
         lo, hi = front - 14.0 * delta, front + 7.0 * delta
         if kind is MirrorKind.MOVING:
-            hi = min(hi, scenario.mirror_velocity * scenario.time)
+            hi = min(hi, scenario.mirror_position)
     n = int(np.ceil((hi - lo) / step)) + 1
     return np.linspace(lo, hi, n)
 
@@ -305,8 +303,6 @@ def enhancement_scan(v_over_vk, scenario: Scenario) -> list[ScanPoint]:
     scenario supplies context, wavenumber and time (its own mirror law
     is ignored).  Deterministic: results are assembled in input order.
     """
-    from .physics import MirrorLaw
-
     ratios = [float(r) for r in v_over_vk]
     if any(r <= 0 for r in ratios):
         raise ValueError("velocity ratios must be positive")

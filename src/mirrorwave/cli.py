@@ -295,6 +295,8 @@ def _add_grid_flags(p):
 
 
 def cmd_profile(args) -> int:
+    if args.components and args.v is None:
+        raise ValueError("--components needs a moving mirror (--v)")
     s = _scenario(args)
     xs = _grid(args, s)
     prof = analysis.profile(s, xs, with_components=args.components)
@@ -302,7 +304,7 @@ def cmd_profile(args) -> int:
     params["points"] = len(xs)
     columns = ["x_um", "density"]
     cols = [from_si(xs, "um"), prof.densities]
-    if args.components and prof.components is not None:
+    if args.components:
         columns += ["m1_abs2", "m2_abs2", "m3_abs2", "m4_abs2"]
         cols += _component_columns(prof.components)
     _write_table(args.out, "profile", params, columns, np.column_stack(cols))
@@ -312,7 +314,7 @@ def cmd_profile(args) -> int:
 def cmd_components(args) -> int:
     s = _scenario(args)
     xs = _grid(args, s)
-    wc = psi_moving(xs, s.time, s)
+    wc = psi_moving(xs, s)
     params = _scenario_params(s)
     params["points"] = len(xs)
     params["note"] = "component densities are formal values, forbidden region included"

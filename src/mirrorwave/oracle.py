@@ -73,6 +73,9 @@ _GROUP = 32
 # at most _BLOCK_SIZE doubles (512 KiB) each, small enough to stay in a
 # core's L2 cache, so its work memory does not grow with the panel count
 _BLOCK_SIZE = 1 << 16
+# the most panels a quadrature run may take: default configurations need at
+# most ~1.3e6 (v_k 1 cm/s, v 3 cm/s, t 100 ms), so this leaves ~100x headroom
+_MAX_PANELS = 1 << 27
 
 
 class OracleConfigError(ValueError):
@@ -120,6 +123,17 @@ def _wall_speed(scenario: Scenario) -> float:
     return scenario.mirror_velocity if scenario.mirror.kind is MirrorKind.MOVING else 0.0
 
 
+def _check_wall(scenario: Scenario, x: float, what: str) -> None:
+    """Raise ``OracleConfigError`` if x lies beyond a static or moving wall.
+
+    The slack 1e-12 |wall| + 1e-18 m absorbs the rounding of a wall position given in um.
+    """
+    if scenario.mirror.kind is not MirrorKind.SUDDEN_REMOVAL:
+        wall = scenario.mirror_position
+        if x - wall > 1e-12 * abs(wall) + 1e-18:
+            raise OracleConfigError(f"{what} beyond the mirror position {wall:.6g} m")
+
+
 def _occupied_omega(scenario: Scenario, v: float) -> float:
     """Largest kinetic angular frequency carried by the beam in the wall frame.
 
@@ -151,12 +165,7 @@ def validate_config(scenario: Scenario, config: OracleConfig) -> None:
             f"the comparison window; need domain_length > {needed:.6g} m "
             f"(got {config.domain_length:.6g})"
         )
-    if scenario.mirror.kind is not MirrorKind.SUDDEN_REMOVAL:
-        wall = scenario.mirror_position
-        if x_hi - wall > 1e-12 * abs(wall) + 1e-18:
-            raise OracleConfigError(
-                f"comparison window extends beyond the mirror position {wall:.6g} m"
-            )
+    _check_wall(scenario, x_hi, "comparison window extends")
     omega = _occupied_omega(scenario, v)
     if config.time_step * omega >= 0.1:
         raise OracleConfigError(
@@ -184,7 +193,7 @@ def default_config(scenario: Scenario, comparison_window: tuple | None = None) -
                     " leaves the default comparison window (-v_k t/2, v t) empty; give"
                     " comparison_window (CLI: --window-lo and --window-hi) with x_hi <= v t"
                 )
-            comparison_window = (-0.5 * v_k * t, v * t)
+            comparison_window = (-0.5 * v_k * t, scenario.mirror_position)
         elif kind is MirrorKind.STATIC:
             comparison_window = (-(v_k * t + 20.0 * spread), 0.0)
         else:
@@ -401,7 +410,7 @@ def _panel_sum(kern: _Kernel, w_len: float, n_panels: int):
     alpha_o2 = (alpha * offs * offs)[:, None]
     wts = np.tile(halfw * _GL_WEIGHTS, _GROUP)[:, None]
     n_groups = -(-n_panels // _GROUP)
-    base = -w_len + 2.0 * _GROUP * halfw * np.arange(n_groups)
+    group_len = 2.0 * _GROUP * halfw
     z2 = 2.0 * alpha * kern.z
 
     per = max(1, _BLOCK_SIZE // (2 * n_off))
@@ -413,8 +422,8 @@ def _panel_sum(kern: _Kernel, w_len: float, n_panels: int):
     cs_buf = np.empty(2 * rows * groups)
     acc = np.zeros(z2.size, dtype=complex)
     for b0 in range(0, n_groups, groups):
-        gb = base[b0 : b0 + groups]
-        nb = gb.size
+        nb = min(groups, n_groups - b0)
+        gb = -w_len + group_len * np.arange(b0, b0 + nb)
         ph = ph_buf[: n_off * nb].reshape(n_off, nb)
         col = col_buf[: n_off * nb].reshape(n_off, nb)
         # column factors w e^{i(alpha x'^2 - beta x')} 2i sin(k x')
@@ -466,7 +475,9 @@ def evolve_quadrature(
     factorization of the integrand (``_Kernel``).  The reported per-point
     estimate bounds the rounding of both parts; points whose estimate
     exceeds ``tolerance`` flag the result.  Points beyond a static or
-    moving mirror raise ``OracleConfigError``.
+    moving mirror (past the slack ``validate_config`` also allows) and a
+    support W that would need more than ``_MAX_PANELS`` panels raise
+    ``OracleConfigError``.
     """
     if scenario.time <= 0:
         raise OracleConfigError("oracle evolution requires scenario.time > 0")
@@ -476,10 +487,7 @@ def evolve_quadrature(
     w_len = config.truncation_window
     xs = np.asarray(xs, dtype=float)
 
-    if scenario.mirror.kind is not MirrorKind.SUDDEN_REMOVAL and np.any(
-        xs > scenario.mirror_position
-    ):
-        raise OracleConfigError("evaluation points must not lie beyond the mirror")
+    _check_wall(scenario, float(np.max(xs)), "evaluation points lie")
 
     # panel quadrature over the truncated support [-W, 0]
     kern = _kernel(scenario, xs)
@@ -488,7 +496,13 @@ def evolve_quadrature(
     kap_max = k + abs(beta)
     dphi_max = 2.0 * alpha * (max_off + w_len) + kap_max
     h = (np.pi / 2.0) / dphi_max
-    n_panels = max(int(math.ceil(w_len / h)), 1)
+    panels = w_len / h
+    if panels > _MAX_PANELS:
+        raise OracleConfigError(
+            f"truncation window W = {w_len:.6g} m needs {panels:.3g} quadrature panels,"
+            f" more than {_MAX_PANELS}; give a smaller W (CLI: --trunc-um)"
+        )
+    n_panels = max(int(math.ceil(panels)), 1)
     psi = _panel_sum(kern, w_len, n_panels)
 
     # round-off floor of the panel sum: it assembles each node's phase
@@ -543,15 +557,13 @@ class ComparisonReport:
 
 
 def _region_edges(scenario: Scenario):
-    t = scenario.time
-    v_k = scenario.v_k
     kind = scenario.mirror.kind
     if kind is MirrorKind.MOVING:
         cp = critical_points(scenario)
-        edges = sorted({cp.x_minus, cp.x_plus, cp.x_mirror})
-        return edges
+        return sorted({cp.x_minus, cp.x_plus, cp.x_mirror})
     if kind is MirrorKind.SUDDEN_REMOVAL:
-        return [-v_k * t, v_k * t]
+        front = scenario.v_k * scenario.time
+        return [-front, front]
     return [0.0]
 
 

@@ -33,7 +33,9 @@ x only through x**2, so each wavefunction builds it once and shares it
 bitwise between its terms at x and -x: ``psi_moving`` uses one chirp for
 all four terms, ``psi_sudden`` and ``psi_near_limit`` one for both.
 
-All functions are pure, accept scalars or numpy arrays for the spatial
+The functions that take a ``Scenario`` read the evaluation time from
+``scenario.time`` and the wall from ``scenario.mirror_position``.  All
+functions are pure, accept scalars or numpy arrays for the spatial
 argument, and may be called concurrently.
 """
 
@@ -165,12 +167,12 @@ def critical_points(scenario: Scenario) -> CriticalPoints:
     return CriticalPoints(
         x_minus=-v_k * t,
         x_plus=(2.0 * v - v_k) * t,
-        x_mirror=v * t,
+        x_mirror=scenario.mirror_position,
     )
 
 
-def psi_moving(x, t: float, scenario: Scenario) -> WaveComponents:
-    """Exact wavefunction for a mirror receding at finite velocity v.
+def psi_moving(x, scenario: Scenario) -> WaveComponents:
+    """Exact wavefunction at ``scenario.time`` for a mirror receding at finite velocity v.
 
         psi = e^{i(mvx/hbar - m v^2 t/2hbar)} [M1 - M2 - M3 + M4]
 
@@ -178,6 +180,7 @@ def psi_moving(x, t: float, scenario: Scenario) -> WaveComponents:
     (k -+ mv/hbar at x - vt and its image vt - x).  On the wall the pairs
     (M1, M3) and (M2, M4) coincide bitwise, so psi(vt, t) is exactly 0.
     """
+    t = scenario.time
     if not t > 0.0:
         raise ValueError("psi_moving requires t > 0")
     if scenario.mirror.kind is not MirrorKind.MOVING:
@@ -189,7 +192,7 @@ def psi_moving(x, t: float, scenario: Scenario) -> WaveComponents:
     kp = k - m * v / hbar
     km = -k - m * v / hbar
     xa = np.atleast_1d(np.asarray(x, dtype=float))
-    y = xa - v * t
+    y = xa - scenario.mirror_position
     chirp = _chirp(y, t, ctx)  # (-y)^2 == y^2 bitwise: one chirp serves all four terms
     m1 = _moshinsky(y, kp, t, ctx, chirp)
     m2 = _moshinsky(y, km, t, ctx, chirp)
@@ -208,8 +211,8 @@ def psi_moving(x, t: float, scenario: Scenario) -> WaveComponents:
     return WaveComponents(m1=m1, m2=m2, m3=m3, m4=m4, prefactor=prefactor, psi=psi)
 
 
-def psi_near_limit(x, t: float, scenario: Scenario):
-    """Two-term approximation valid for mirror velocity close to v_k.
+def psi_near_limit(x, scenario: Scenario):
+    """Two-term approximation at ``scenario.time``, valid for mirror velocity close to v_k.
 
     Keeps only the dominant Moshinsky pair at zero relative wavenumber:
 
@@ -218,6 +221,7 @@ def psi_near_limit(x, t: float, scenario: Scenario):
     Intended for 0 < x < v t with |v - v_k| << v_k; callers compare it
     against ``psi_moving`` for validation.
     """
+    t = scenario.time
     if not t > 0.0:
         raise ValueError("psi_near_limit requires t > 0")
     if scenario.mirror.kind is not MirrorKind.MOVING:
@@ -225,15 +229,15 @@ def psi_near_limit(x, t: float, scenario: Scenario):
     ctx = scenario.context
     v = scenario.mirror_velocity
     xa = np.asarray(x, dtype=float)
-    y = xa - v * t
+    y = xa - scenario.mirror_position
     chirp = _chirp(y, t, ctx)
     pair = _moshinsky(y, 0.0, t, ctx, chirp) - _moshinsky(-y, 0.0, t, ctx, chirp)
     val = _boost(xa, t, v, ctx) * pair
     return complex(val) if val.ndim == 0 else val
 
 
-def classical_density(x, t: float, scenario: Scenario):
-    """Interference-free stream counts for a classical beam, per position.
+def classical_density(x, scenario: Scenario):
+    """Interference-free stream counts for a classical beam at ``scenario.time``, per position.
 
     Each stream of particles contributes 1.  Sudden removal: background 2
     (the mean of the standing wave) for x < 0, then Theta(v_k t - x).
@@ -242,12 +246,10 @@ def classical_density(x, t: float, scenario: Scenario):
     mirror; a mirror at or above beam speed reflects nothing, so the
     sudden-removal profile simply truncates at the mirror.
     """
-    if t < 0.0:
-        raise ValueError("classical_density requires t >= 0")
     xa = np.asarray(x, dtype=float)
     v_k = scenario.v_k
     kind = scenario.mirror.kind
-    sudden_like = np.where(xa < 0.0, 2.0, np.where(xa <= v_k * t, 1.0, 0.0))
+    sudden_like = np.where(xa < 0.0, 2.0, np.where(xa <= v_k * scenario.time, 1.0, 0.0))
     if kind is MirrorKind.SUDDEN_REMOVAL:
         out = sudden_like
     elif kind is MirrorKind.STATIC:
@@ -258,14 +260,13 @@ def classical_density(x, t: float, scenario: Scenario):
             # an approaching mirror adds a three-stream overlap region the
             # receding-mirror bookkeeping below does not model
             raise ValueError("classical stream counting requires a receding mirror (v >= 0)")
-        x_m = v * t
+        cp = critical_points(scenario)
         if v >= v_k:
-            out = np.where(xa <= x_m, sudden_like, 0.0)
+            out = np.where(xa <= cp.x_mirror, sudden_like, 0.0)
         else:
-            x_minus, x_plus = -v_k * t, (2.0 * v - v_k) * t
             out = np.where(
-                xa < x_minus,
+                xa < cp.x_minus,
                 2.0,
-                np.where(xa <= x_plus, 1.0, np.where(xa <= x_m, 2.0, 0.0)),
+                np.where(xa <= cp.x_plus, 1.0, np.where(xa <= cp.x_mirror, 2.0, 0.0)),
             )
     return float(out[()]) if out.ndim == 0 else out

@@ -60,7 +60,7 @@ def enhanced_maxima():
     s = Scenario(CTX, CTX.wavenumber(vk), MirrorLaw.moving(vk), t)
     delta = fringe_scale(s)
     x = np.linspace(vk * t - 2.0 * delta, vk * t - 0.5 * delta, 200001)
-    m_wave = (np.abs(psi_near_limit(x, t, s)) ** 2).max()
+    m_wave = (np.abs(psi_near_limit(x, s)) ** 2).max()
     return m_curve, m_wave
 
 
@@ -69,8 +69,8 @@ def wall_densities(ratio):
     vk, t = 0.01, 5e-3
     v = ratio * vk
     s = Scenario(CTX, CTX.wavenumber(vk), MirrorLaw.moving(v), t)
-    on_wall = abs(psi_moving(v * t, t, s).psi) ** 2
-    near_wall = abs(psi_moving(v * t - 1e-9, t, s).psi) ** 2
+    on_wall = abs(psi_moving(v * t, s).psi) ** 2
+    near_wall = abs(psi_moving(v * t - 1e-9, s).psi) ** 2
     return on_wall, near_wall
 
 
@@ -186,14 +186,14 @@ def test_c05_limit_reductions():
     s_slow = Scenario(CTX, K1, MirrorLaw.moving(1e-6 * vk), t1)
     x1 = np.linspace(-2 * vk * t1, -1e-9, 40001)
     err_slow = np.abs(
-        np.abs(psi_moving(x1, t1, s_slow).psi) ** 2 - 4 * np.sin(K1 * x1) ** 2
+        np.abs(psi_moving(x1, s_slow).psi) ** 2 - 4 * np.sin(K1 * x1) ** 2
     ).max()
     # fast mirror: sudden-removal density recovered to 1e-4 on [-v_k t, v_k t]
     t2 = 10e-3
     s_fast = Scenario(CTX, K1, MirrorLaw.moving(1e3 * vk), t2)
     x2 = np.linspace(-vk * t2, vk * t2, 20001)
     err_fast = np.abs(
-        np.abs(psi_moving(x2, t2, s_fast).psi) ** 2
+        np.abs(psi_moving(x2, s_fast).psi) ** 2
         - np.abs(psi_sudden(x2, t2, K1, CTX)) ** 2
     ).max()
     ok = err_slow <= 1e-3 and err_fast <= 1e-4
@@ -245,7 +245,7 @@ def test_c07_three_region_structure():
     devs = {}
     for name, (lo, hi, target) in windows.items():
         x = np.linspace(lo, hi, 30001)
-        mean = float(np.abs(psi_moving(x, t, s).psi).__pow__(2).mean())
+        mean = float(np.abs(psi_moving(x, s).psi).__pow__(2).mean())
         devs[name] = (mean, abs(mean - target) / target)
     ok = all(rel <= 0.05 for _, rel in devs.values())
     detail = ", ".join(f"{n}: mean {m:.4f} ({r * 100:.2f}%)" for n, (m, r) in devs.items())

@@ -162,7 +162,7 @@ class TestCornuTheta:
         vk, t = 0.01, 5e-3
         s = Scenario(CTX, CTX.wavenumber(vk), MirrorLaw.moving(vk), t)
         x = np.linspace(1e-6, vk * t, 3000)
-        d_wave = np.abs(psi_near_limit(x, t, s)) ** 2
+        d_wave = np.abs(psi_near_limit(x, s)) ** 2
         d_univ = universal_enhanced(cornu_theta(x, t, CTX.wavenumber(vk), CTX))
         assert np.abs(d_wave - d_univ).max() <= 1e-6
 

@@ -346,6 +346,21 @@ class TestOracleCommand:
             assert manifest["validation"] == "pass"
             assert np.isfinite(float(manifest["max_truncation_estimate"]))
 
+    @pytest.mark.parametrize("which", ["grid", "quadrature"])
+    def test_window_ending_on_moving_wall(self, tmp_path, which):
+        # 16.5 um converts to 3.4e-21 m past the wall at v t = 0.3 cm/s x 5.5 ms;
+        # both oracles allow the same slack for it
+        out = tmp_path / "w.csv"
+        rc = main(
+            f"oracle --vk 1.0 --v 0.3 --t 5.5 --oracle {which} --tolerance 1e-4 "
+            "--window-lo -20 --window-hi 16.5 --out".split()
+            + [str(out)]
+        )
+        assert rc == 0
+        manifest, _, rows = read_table(out)
+        assert manifest["validation"] == "pass"
+        assert rows[-1, 0] <= 16.5
+
     def test_window_beyond_static_wall_exit_1(self, tmp_path, capsys):
         rc = main(
             "oracle --vk 1.0 --static --t 2 --oracle grid --tolerance 1e-3 "
@@ -377,6 +392,9 @@ class TestOracleCommand:
         "visibility --vk 1,abc --t 50",
         "visibility --vk 1.0 --t 50 --species 6Li",
         "profile --vk 1.0 --sudden --t 5 --xmin 5",
+        # per-term columns exist only for a moving mirror
+        "profile --vk 1.0 --sudden --t 5 --components",
+        "profile --vk 1.0 --static --t 5 --components",
         "oracle --vk 1.0 --static --t 2 --oracle grid --tolerance 1e-3 --window-lo -20",
         # non-finite range flags
         "profile --vk 1 --static --t 10 --xmin nan --xmax 5 --points 3",

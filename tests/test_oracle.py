@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from dataclasses import replace
@@ -413,6 +415,19 @@ class TestQuadratureOracle:
         coarse = _panel_sum(kern, w_len, n_panels)
         fine = _panel_sum(kern, w_len, 2 * n_panels)
         assert np.abs(coarse - fine).max() <= 1e-11 * np.abs(coarse).max()
+
+    @pytest.mark.parametrize("w_len", [1.0, 1e200])
+    def test_oversized_support_rejected_before_panel_sum(self, monkeypatch, w_len):
+        # W = 1 m would need ~4.4e11 panels, and W = 1e200 m an infinite count
+        s = Scenario(CTX, K1, MirrorLaw.static(), 2e-3)
+        cfg = replace(default_config(s), truncation_window=w_len)
+
+        def spy(*args):
+            raise AssertionError("_panel_sum ran")
+
+        monkeypatch.setattr(oracle, "_panel_sum", spy)
+        with pytest.raises(OracleConfigError, match=re.escape(f"W = {w_len:.6g} m needs ")):
+            evolve_quadrature(s, cfg, np.linspace(-1e-5, 0.0, 3))
 
     def test_points_beyond_mirror_rejected(self):
         t = 5e-3

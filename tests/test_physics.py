@@ -1,6 +1,8 @@
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from mirrorwave import analysis, oracle, waves
 from mirrorwave.physics import (
     HBAR,
     RB87_MASS,
@@ -131,3 +133,38 @@ class TestScenario:
         with pytest.raises(ValueError):
             sudden.mirror_position
         assert Scenario(self.ctx, 1e7, MirrorLaw.static(), 0.01).mirror_position == 0.0
+
+
+# Scenario admits time 0, where no state has evolved yet; every entry point
+# that evolves the beam rejects it
+_CTX = PhysicalContext()
+_K = _CTX.wavenumber(0.01)
+_MOVING_0 = Scenario(_CTX, _K, MirrorLaw.moving(0.005), 0.0)
+_SUDDEN_0 = Scenario(_CTX, _K, MirrorLaw.sudden_removal(), 0.0)
+_XS = np.linspace(-1e-5, 0.0, 5)
+_CFG = oracle.OracleConfig(1e-3, 64, 1e-6, 1e-4, (-1e-5, 0.0))
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: waves.psi_sudden(_XS, 0.0, _K, _CTX), ValueError),
+        (lambda: waves.psi_moving(_XS, _MOVING_0), ValueError),
+        (lambda: waves.psi_near_limit(_XS, _MOVING_0), ValueError),
+        (lambda: analysis.profile(_SUDDEN_0, _XS), ValueError),
+        (lambda: analysis.profile(_MOVING_0, _XS), ValueError),
+        (lambda: analysis.cornu_theta(_XS, 0.0, _K, _CTX), ValueError),
+        (lambda: analysis.enhancement_scan([1.5], _SUDDEN_0), ValueError),
+        (lambda: oracle.default_config(_MOVING_0), oracle.OracleConfigError),
+        (lambda: oracle.validate_config(_MOVING_0, _CFG), oracle.OracleConfigError),
+        (lambda: oracle.evolve_quadrature(_SUDDEN_0, _CFG, _XS), oracle.OracleConfigError),
+    ],
+    ids=[
+        "psi_sudden", "psi_moving", "psi_near_limit", "profile-sudden", "profile-moving",
+        "cornu_theta", "enhancement_scan", "default_config", "validate_config",
+        "evolve_quadrature",
+    ],
+)
+def test_zero_time_rejected(call, error):
+    with pytest.raises(error, match=r"\b(t|time) > 0"):
+        call()

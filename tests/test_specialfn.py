@@ -232,9 +232,9 @@ class TestRaySeries:
                 waves.psi_sudden(xs, t, k, ctx)
             else:
                 xs = xs[xs <= s.mirror_position]
-                waves.psi_moving(xs, t, s)
+                waves.psi_moving(xs, s)
                 if name == "near_limit":
-                    waves.psi_near_limit(xs[xs > 0.0], t, s)
+                    waves.psi_near_limit(xs[xs > 0.0], s)
             analysis.profile(s, xs)
             assert sum(reached) > before, name
 

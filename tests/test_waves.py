@@ -227,7 +227,7 @@ class TestPsiMoving:
         vk = 0.01
         v, t = ratio * vk, 5e-3
         s = Scenario(CTX, CTX.wavenumber(vk), MirrorLaw.moving(v), t)
-        wc = psi_moving(v * t, t, s)
+        wc = psi_moving(v * t, s)
         assert wc.psi == 0.0
         # the cancelling pairs coincide bitwise on the wall
         assert wc.m1 == wc.m3 and wc.m2 == wc.m4
@@ -239,14 +239,14 @@ class TestPsiMoving:
         s = Scenario(CTX, CTX.wavenumber(vk), MirrorLaw.moving(v), t)
         kp = CTX.wavenumber(vk - v)
         eps = 1e-9
-        dens = abs(psi_moving(v * t - eps, t, s).psi) ** 2
+        dens = abs(psi_moving(v * t - eps, s).psi) ** 2
         assert dens == pytest.approx(4 * np.sin(kp * eps) ** 2, rel=0.1)
 
     def test_forbidden_region_zero_components_kept(self):
         vk, v, t = 0.01, 0.008, 10e-3
         s = Scenario(CTX, CTX.wavenumber(vk), MirrorLaw.moving(v), t)
         x = np.array([v * t + 1e-6, v * t + 1e-5])
-        wc = psi_moving(x, t, s)
+        wc = psi_moving(x, s)
         assert np.all(wc.psi == 0.0)
         assert np.all(np.abs(wc.m1) > 0)  # formal values preserved
 
@@ -255,7 +255,7 @@ class TestPsiMoving:
         t = 5e-4
         s = Scenario(CTX, CTX.wavenumber(vk), MirrorLaw.moving(1e-6 * vk), t)
         x = np.linspace(-2 * vk * t, -1e-9, 3001)
-        dens = np.abs(psi_moving(x, t, s).psi) ** 2
+        dens = np.abs(psi_moving(x, s).psi) ** 2
         assert np.abs(dens - 4 * np.sin(CTX.wavenumber(vk) * x) ** 2).max() <= 1e-3
 
     def test_fast_mirror_reduces_to_sudden_removal(self):
@@ -264,7 +264,7 @@ class TestPsiMoving:
         k = CTX.wavenumber(vk)
         s = Scenario(CTX, k, MirrorLaw.moving(1e3 * vk), t)
         x = np.linspace(-vk * t, vk * t, 2001)
-        d_m = np.abs(psi_moving(x, t, s).psi) ** 2
+        d_m = np.abs(psi_moving(x, s).psi) ** 2
         d_s = np.abs(psi_sudden(x, t, k, CTX)) ** 2
         assert np.abs(d_m - d_s).max() <= 1e-4
 
@@ -275,13 +275,13 @@ class TestPsiMoving:
         s = Scenario(CTX, CTX.wavenumber(vk), MirrorLaw.moving(v), t)
         spread = np.sqrt(CTX.hbar * t / CTX.mass)
         x = (2 * v + vk) * t - 800 * spread
-        wc = psi_moving(x, t, s)
+        wc = psi_moving(x, s)
         assert abs(wc.m4) <= 1e-3 * abs(wc.m1)
 
     def test_requires_moving_mirror(self):
         s = Scenario(CTX, K1, MirrorLaw.sudden_removal(), 1e-3)
         with pytest.raises(ValueError):
-            psi_moving(0.0, 1e-3, s)
+            psi_moving(0.0, s)
 
 
 class TestSharedChirpBitwise:
@@ -311,7 +311,7 @@ class TestSharedChirpBitwise:
         for u_zero in (kp, km):  # the grid crosses u = 0 of every term
             u = u_zero - CTX.mass * y / (CTX.hbar * t)
             assert u.min() < 0.0 < u.max()
-        wc = psi_moving(x, t, s)
+        wc = psi_moving(x, s)
         want = {
             "m1": moshinsky_m(y, kp, t, CTX),
             "m2": moshinsky_m(y, km, t, CTX),
@@ -324,7 +324,7 @@ class TestSharedChirpBitwise:
         psi = np.where(y <= 0.0, wc.prefactor * formal, 0.0 + 0.0j)
         assert np.array_equal(bits(wc.psi), bits(psi))
         for xi in x[::4001]:
-            one = psi_moving(float(xi), t, s)
+            one = psi_moving(float(xi), s)
             assert type(one.psi) is complex
             yi = float(xi) - v * t
             assert np.array_equal(bits(one.m1), bits(moshinsky_m(np.array([yi]), kp, t, CTX)))
@@ -335,17 +335,17 @@ class TestSharedChirpBitwise:
         s = Scenario(CTX, CTX.wavenumber(self.VK), MirrorLaw.moving(v), t)
         x = self.grid(v)
         y = x - v * t
-        boost = psi_moving(x, t, s).prefactor
+        boost = psi_moving(x, s).prefactor
         # a named factor: for a temporary right operand numpy reuses its
         # buffer and multiplies in the swapped order, which FMA rounds differently
         pair = moshinsky_m(y, 0.0, t, CTX) - moshinsky_m(-y, 0.0, t, CTX)
-        assert np.array_equal(bits(psi_near_limit(x, t, s)), bits(boost * pair))
+        assert np.array_equal(bits(psi_near_limit(x, s)), bits(boost * pair))
         for xi in x[::4001]:
             yi = float(xi) - v * t
-            one = psi_near_limit(float(xi), t, s)
+            one = psi_near_limit(float(xi), s)
             assert type(one) is complex
             pair = moshinsky_m(yi, 0.0, t, CTX) - moshinsky_m(-yi, 0.0, t, CTX)
-            assert np.array_equal(bits(one), bits(psi_moving(float(xi), t, s).prefactor * pair))
+            assert np.array_equal(bits(one), bits(psi_moving(float(xi), s).prefactor * pair))
 
     def test_psi_sudden(self):
         t, k = self.T, CTX.wavenumber(self.VK)
@@ -394,54 +394,54 @@ class TestClassicalDensity:
     def test_slow_mirror_regions(self):
         s = Scenario(CTX, CTX.wavenumber(0.01), MirrorLaw.moving(0.008), 10e-3)
         x = np.array([-150e-6, -50e-6, 70e-6, 90e-6])
-        assert list(classical_density(x, 10e-3, s)) == [2.0, 1.0, 2.0, 0.0]
+        assert list(classical_density(x, s)) == [2.0, 1.0, 2.0, 0.0]
 
     def test_fast_mirror_gap(self):
         # nothing between the beam front and the mirror when v >= v_k
         s = Scenario(CTX, CTX.wavenumber(0.01), MirrorLaw.moving(0.015), 10e-3)
-        assert classical_density(120e-6, 10e-3, s) == 0.0
-        assert classical_density(90e-6, 10e-3, s) == 1.0
+        assert classical_density(120e-6, s) == 0.0
+        assert classical_density(90e-6, s) == 1.0
 
     def test_sudden_profile(self):
         s = Scenario(CTX, CTX.wavenumber(0.01), MirrorLaw.sudden_removal(), 10e-3)
-        assert classical_density(-1e-6, 10e-3, s) == 2.0
-        assert classical_density(50e-6, 10e-3, s) == 1.0
-        assert classical_density(150e-6, 10e-3, s) == 0.0
+        assert classical_density(-1e-6, s) == 2.0
+        assert classical_density(50e-6, s) == 1.0
+        assert classical_density(150e-6, s) == 0.0
 
     def test_static_mirror(self):
         s = Scenario(CTX, CTX.wavenumber(0.01), MirrorLaw.static(), 10e-3)
         x = np.array([-150e-6, -1e-9, 0.0, 1e-6])
-        assert list(classical_density(x, 10e-3, s)) == [2.0, 2.0, 0.0, 0.0]
+        assert list(classical_density(x, s)) == [2.0, 2.0, 0.0, 0.0]
 
     def test_approaching_mirror_not_modelled(self):
         s = Scenario(CTX, CTX.wavenumber(0.01), MirrorLaw.moving(-0.005), 10e-3)
         with pytest.raises(ValueError):
-            classical_density(-50e-6, 10e-3, s)
+            classical_density(-50e-6, s)
 
 
 class TestPsiNearLimit:
     def test_mirror_zero(self):
         vk, t = 0.01, 5e-3
         s = Scenario(CTX, CTX.wavenumber(vk), MirrorLaw.moving(vk), t)
-        assert psi_near_limit(vk * t, t, s) == 0.0
+        assert psi_near_limit(vk * t, s) == 0.0
 
     def test_peak_bound(self):
         vk, t = 0.01, 5e-3
         s = Scenario(CTX, CTX.wavenumber(vk), MirrorLaw.moving(vk), t)
         x = np.linspace(0, vk * t, 200001)
-        peak = (np.abs(psi_near_limit(x, t, s)) ** 2).max()
+        peak = (np.abs(psi_near_limit(x, s)) ** 2).max()
         assert peak == pytest.approx(1.8014163538604137, abs=2e-7)
 
     @pytest.mark.parametrize("law", [MirrorLaw.static(), MirrorLaw.sudden_removal()])
     def test_requires_moving_mirror(self, law):
         s = Scenario(CTX, CTX.wavenumber(0.01), law, 5e-3)
         with pytest.raises(ValueError, match="finite-velocity"):
-            psi_near_limit(1e-6, 5e-3, s)
+            psi_near_limit(1e-6, s)
 
     def test_matches_full_solution_at_equal_velocities(self):
         vk, t = 0.01, 20e-3
         s = Scenario(CTX, CTX.wavenumber(vk), MirrorLaw.moving(vk), t)
         x = np.linspace(1e-7, vk * t, 20001)
-        d_two = np.abs(psi_near_limit(x, t, s)) ** 2
-        d_full = np.abs(psi_moving(x, t, s).psi) ** 2
+        d_two = np.abs(psi_near_limit(x, s)) ** 2
+        d_full = np.abs(psi_moving(x, s).psi) ** 2
         assert np.abs(d_two - d_full).max() / d_full.max() <= 1e-2
