@@ -60,6 +60,7 @@ from .waves import (
     psi_moving,
     psi_near_limit,
     psi_sudden,
+    stream_regions,
 )
 
 __version__ = "0.1.0"

@@ -131,11 +131,10 @@ def _analysis_window(p: DensityProfile):
     if kind is MirrorKind.MOVING and s.mirror_velocity < s.v_k:
         cp = critical_points(s)
         return cp.x_plus, cp.x_mirror, True
-    front = s.v_k * s.time
-    hi = front + 6.0 * delta
+    hi = s.front + 6.0 * delta
     if kind is MirrorKind.MOVING:
         hi = min(hi, s.mirror_position)
-    return front - 12.0 * delta, hi, False
+    return s.front - 12.0 * delta, hi, False
 
 
 def main_fringe(p: DensityProfile) -> FringeStats:
@@ -257,9 +256,8 @@ def _front_grid(scenario: Scenario) -> np.ndarray:
         step = min(delta, np.pi / kp) / 32.0
         lo, hi = cp.x_plus - 2.0 * delta, cp.x_mirror
     else:
-        front = scenario.v_k * scenario.time
         step = delta / 64.0
-        lo, hi = front - 14.0 * delta, front + 7.0 * delta
+        lo, hi = scenario.front - 14.0 * delta, scenario.front + 7.0 * delta
         if kind is MirrorKind.MOVING:
             hi = min(hi, scenario.mirror_position)
     n = int(np.ceil((hi - lo) / step)) + 1

@@ -257,7 +257,7 @@ def _scenario_params(s: Scenario) -> dict:
         p["x_plus_um"] = from_si(cp.x_plus, "um")
         p["x_mirror_um"] = from_si(cp.x_mirror, "um")
     if s.mirror.kind is not MirrorKind.STATIC:
-        p["front_um"] = from_si(s.v_k * s.time, "um")
+        p["front_um"] = from_si(s.front, "um")
     return p
 
 

@@ -63,7 +63,7 @@ from scipy.special import wofz
 
 from .analysis import DensityProfile
 from .physics import MirrorKind, Scenario
-from .waves import _boost, _chirp, critical_points, initial_state
+from .waves import _boost, _chirp, initial_state, stream_regions
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
 # the panel sum takes the panels in groups of _GROUP (256 nodes), so its
@@ -193,11 +193,11 @@ def default_config(scenario: Scenario, comparison_window: tuple | None = None) -
                     " leaves the default comparison window (-v_k t/2, v t) empty; give"
                     " comparison_window (CLI: --window-lo and --window-hi) with x_hi <= v t"
                 )
-            comparison_window = (-0.5 * v_k * t, scenario.mirror_position)
+            comparison_window = (-0.5 * scenario.front, scenario.mirror_position)
         elif kind is MirrorKind.STATIC:
-            comparison_window = (-(v_k * t + 20.0 * spread), 0.0)
+            comparison_window = (-(scenario.front + 20.0 * spread), 0.0)
         else:
-            comparison_window = (-v_k * t, 1.05 * v_k * t)
+            comparison_window = (-scenario.front, 1.05 * v_k * t)
     x_lo, x_hi = comparison_window
     beta = abs(ctx.wavenumber(v))
     omega = ctx.hbar * (scenario.k + beta) ** 2 / (2.0 * ctx.mass)
@@ -205,7 +205,7 @@ def default_config(scenario: Scenario, comparison_window: tuple | None = None) -
     # counter-propagating component, whose amplitude inside the window
     # falls off as the Moshinsky tail beyond x_minus = -v_k t; scale the
     # tolerable phase error accordingly
-    dist = x_lo + v_k * t
+    dist = x_lo + scenario.front
     if dist <= 0:
         amp_fast = 1.0
     else:
@@ -486,6 +486,8 @@ def evolve_quadrature(
     t = scenario.time
     w_len = config.truncation_window
     xs = np.asarray(xs, dtype=float)
+    if xs.size == 0:
+        raise OracleConfigError("the evaluation grid xs is empty")
 
     _check_wall(scenario, float(np.max(xs)), "evaluation points lie")
 
@@ -556,29 +558,18 @@ class ComparisonReport:
     report: str
 
 
-def _region_edges(scenario: Scenario):
-    kind = scenario.mirror.kind
-    if kind is MirrorKind.MOVING:
-        cp = critical_points(scenario)
-        return sorted({cp.x_minus, cp.x_plus, cp.x_mirror})
-    if kind is MirrorKind.SUDDEN_REMOVAL:
-        front = scenario.v_k * scenario.time
-        return [-front, front]
-    return [0.0]
-
-
 def compare(a: DensityProfile, b: DensityProfile) -> ComparisonReport:
     """Pointwise density comparison with a per-region error breakdown.
 
-    Requires identical grids; regions are bounded by the scenario's
-    classical critical points clipped to the common window.
+    Requires identical grids; the regions are the half-open [e_i, e_i+1)
+    of ``stream_regions``, and those the grid misses are left out.
     """
     if not np.array_equal(a.xs, b.xs):
         raise ValueError("density profiles must share an identical grid")
     err = np.abs(a.densities - b.densities)
     max_abs = float(err.max())
     rms = float(np.sqrt(np.mean(err**2)))
-    edges = _region_edges(a.scenario)
+    edges = stream_regions(a.scenario)[0]
     bounds = [-np.inf, *edges, np.inf]
     regions = []
     for lo, hi in zip(bounds[:-1], bounds[1:]):

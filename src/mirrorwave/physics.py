@@ -172,3 +172,8 @@ class Scenario:
             return 0.0
         raise ValueError("a suddenly removed mirror has no position")
 
+    @property
+    def front(self) -> float:
+        """Beam front v_k*t, where a free particle of the beam velocity arrives."""
+        return self.v_k * self.time
+

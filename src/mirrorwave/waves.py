@@ -34,9 +34,9 @@ bitwise between its terms at x and -x: ``psi_moving`` uses one chirp for
 all four terms, ``psi_sudden`` and ``psi_near_limit`` one for both.
 
 The functions that take a ``Scenario`` read the evaluation time from
-``scenario.time`` and the wall from ``scenario.mirror_position``.  All
-functions are pure, accept scalars or numpy arrays for the spatial
-argument, and may be called concurrently.
+``scenario.time``, the wall from ``scenario.mirror_position`` and the
+beam front from ``scenario.front``.  All functions are pure, accept
+scalars or numpy arrays for x, and may be called concurrently.
 """
 
 from __future__ import annotations
@@ -160,15 +160,42 @@ class CriticalPoints:
 
 
 def critical_points(scenario: Scenario) -> CriticalPoints:
-    """Exact classical markers; requires the finite-velocity mirror variant."""
+    """Exact classical markers, unordered (``stream_regions`` orders them); moving mirror only."""
     v = scenario.mirror_velocity
-    t = scenario.time
-    v_k = scenario.v_k
     return CriticalPoints(
-        x_minus=-v_k * t,
-        x_plus=(2.0 * v - v_k) * t,
+        x_minus=-scenario.front,
+        x_plus=(2.0 * v - scenario.v_k) * scenario.time,
         x_mirror=scenario.mirror_position,
     )
+
+
+def stream_regions(scenario: Scenario) -> tuple[tuple[float, ...], tuple[int, ...]]:
+    """Classical stream picture ``(edges, counts)``: counts[i] streams on [edges[i-1], edges[i]).
+
+    The edges are non-decreasing, with -inf and +inf at the ends; the
+    standing wave is the +k and -k streams, and each reflection adds one:
+
+        static                       (0,)                          2, 0
+        sudden removal, or v >= v_k  (-v_k t, v_k t)               2, 1, 0
+        0 <= v < v_k                 (x_minus, x_plus, v t)        2, 1, 2, 0
+        -v_k < v < 0                 (x_plus, x_minus, v t)        2, 3, 2, 0
+        v <= -v_k                    (x_plus, (2v + v_k) t, v t)   2, 3, 4, 0
+
+    At v <= -v_k the wall also catches the -k stream.
+    """
+    kind = scenario.mirror.kind
+    if kind is MirrorKind.STATIC:
+        return (0.0,), (2, 0)
+    v_k = scenario.v_k
+    if kind is MirrorKind.SUDDEN_REMOVAL or scenario.mirror_velocity >= v_k:
+        return (-scenario.front, scenario.front), (2, 1, 0)
+    cp = critical_points(scenario)
+    v = scenario.mirror_velocity
+    if v >= 0.0:
+        return (cp.x_minus, cp.x_plus, cp.x_mirror), (2, 1, 2, 0)
+    if v > -v_k:
+        return (cp.x_plus, cp.x_minus, cp.x_mirror), (2, 3, 2, 0)
+    return (cp.x_plus, (2.0 * v + v_k) * scenario.time, cp.x_mirror), (2, 3, 4, 0)
 
 
 def psi_moving(x, scenario: Scenario) -> WaveComponents:
@@ -237,36 +264,10 @@ def psi_near_limit(x, scenario: Scenario):
 
 
 def classical_density(x, scenario: Scenario):
-    """Interference-free stream counts for a classical beam at ``scenario.time``, per position.
+    """Interference-free density, the ``stream_regions`` count at each x, for any mirror law.
 
-    Each stream of particles contributes 1.  Sudden removal: background 2
-    (the mean of the standing wave) for x < 0, then Theta(v_k t - x).
-    A mirror slower than the beam splits the axis into three regions
-    (2 streams / 1 stream / 2 streams) bounded by x_minus, x_plus and the
-    mirror; a mirror at or above beam speed reflects nothing, so the
-    sudden-removal profile simply truncates at the mirror.
+    An edge point takes the count on its right, so the wall itself reads 0.
     """
-    xa = np.asarray(x, dtype=float)
-    v_k = scenario.v_k
-    kind = scenario.mirror.kind
-    sudden_like = np.where(xa < 0.0, 2.0, np.where(xa <= v_k * scenario.time, 1.0, 0.0))
-    if kind is MirrorKind.SUDDEN_REMOVAL:
-        out = sudden_like
-    elif kind is MirrorKind.STATIC:
-        out = np.where(xa < 0.0, 2.0, 0.0)
-    else:
-        v = scenario.mirror_velocity
-        if v < 0.0:
-            # an approaching mirror adds a three-stream overlap region the
-            # receding-mirror bookkeeping below does not model
-            raise ValueError("classical stream counting requires a receding mirror (v >= 0)")
-        cp = critical_points(scenario)
-        if v >= v_k:
-            out = np.where(xa <= cp.x_mirror, sudden_like, 0.0)
-        else:
-            out = np.where(
-                xa < cp.x_minus,
-                2.0,
-                np.where(xa <= cp.x_plus, 1.0, np.where(xa <= cp.x_mirror, 2.0, 0.0)),
-            )
-    return float(out[()]) if out.ndim == 0 else out
+    edges, counts = stream_regions(scenario)
+    out = np.asarray(counts, dtype=float)[np.searchsorted(edges, x, side="right")]
+    return float(out) if out.ndim == 0 else out

@@ -429,6 +429,11 @@ class TestQuadratureOracle:
         with pytest.raises(OracleConfigError, match=re.escape(f"W = {w_len:.6g} m needs ")):
             evolve_quadrature(s, cfg, np.linspace(-1e-5, 0.0, 3))
 
+    def test_empty_grid_rejected(self):
+        s = Scenario(CTX, K1, MirrorLaw.static(), 2e-3)
+        with pytest.raises(OracleConfigError, match="evaluation grid xs is empty"):
+            evolve_quadrature(s, default_config(s), np.array([]))
+
     def test_points_beyond_mirror_rejected(self):
         t = 5e-3
         s = Scenario(CTX, K1, MirrorLaw.moving(0.005), t)
@@ -485,3 +490,17 @@ class TestCompare:
         # window spans x_minus, x_plus and the mirror: four regions
         assert len(rep.regions) == 4
         assert "per-region breakdown" in rep.report
+
+    def test_fast_mirror_splits_at_front(self):
+        # v > v_k: the region edges are -v_k t and the front v_k t; x_plus
+        # = 2 v_k t lies past the wall and bounds nothing
+        t = 10e-3
+        s = Scenario(CTX, K1, MirrorLaw.moving(1.5 * CTX.velocity(K1)), t)
+        xs = np.linspace(-1.5 * s.front, s.mirror_position, 400)
+        from mirrorwave.analysis import DensityProfile
+
+        a = DensityProfile(s, xs, np.ones(400))
+        rep = compare(a, a)
+        f = f"{s.front:.4g}"
+        assert [r.label for r in rep.regions] == [f"[-inf, -{f})", f"[-{f}, {f})", f"[{f}, inf)"]
+        assert rep.regions[-1].x_lo >= s.front > rep.regions[-2].x_hi

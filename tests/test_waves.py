@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mirrorwave.analysis import profile
 from mirrorwave.physics import MirrorLaw, PhysicalContext, Scenario
 from mirrorwave.specialfn import cis
 from mirrorwave.waves import (
@@ -11,6 +12,7 @@ from mirrorwave.waves import (
     psi_moving,
     psi_near_limit,
     psi_sudden,
+    stream_regions,
 )
 
 from .reference import (
@@ -403,8 +405,10 @@ class TestClassicalDensity:
         assert classical_density(90e-6, s) == 1.0
 
     def test_sudden_profile(self):
+        # the -k stream has left (-v_k t, 0): one stream there, two beyond
         s = Scenario(CTX, CTX.wavenumber(0.01), MirrorLaw.sudden_removal(), 10e-3)
-        assert classical_density(-1e-6, s) == 2.0
+        assert classical_density(-150e-6, s) == 2.0
+        assert classical_density(-1e-6, s) == 1.0
         assert classical_density(50e-6, s) == 1.0
         assert classical_density(150e-6, s) == 0.0
 
@@ -413,10 +417,42 @@ class TestClassicalDensity:
         x = np.array([-150e-6, -1e-9, 0.0, 1e-6])
         assert list(classical_density(x, s)) == [2.0, 2.0, 0.0, 0.0]
 
-    def test_approaching_mirror_not_modelled(self):
+    def test_approaching_mirror_regions(self):
+        # x_plus = -200 um, x_minus = -100 um, wall -50 um
         s = Scenario(CTX, CTX.wavenumber(0.01), MirrorLaw.moving(-0.005), 10e-3)
-        with pytest.raises(ValueError):
-            classical_density(-50e-6, s)
+        x = np.array([-250e-6, -150e-6, -75e-6, -25e-6])
+        assert list(classical_density(x, s)) == [2.0, 3.0, 2.0, 0.0]
+
+    def test_wall_catches_both_streams(self):
+        # v <= -v_k: the reflected -k stream fronts at (2v + v_k) t
+        v_k, t = CTX.velocity(K1), 10e-3
+        v = -1.5 * v_k
+        s = Scenario(CTX, K1, MirrorLaw.moving(v), t)
+        edges, counts = stream_regions(s)
+        assert edges == ((2.0 * v - v_k) * t, (2.0 * v + v_k) * t, v * t)
+        assert counts == (2, 3, 4, 0)
+
+    @pytest.mark.parametrize("law", [MirrorLaw.static(), MirrorLaw.moving(0.005)])
+    def test_wall_point_reads_zero(self, law):
+        s = Scenario(CTX, K1, law, 10e-3)
+        assert classical_density(s.mirror_position, s) == 0.0
+
+    @pytest.mark.parametrize(
+        "law",
+        [MirrorLaw.sudden_removal(), MirrorLaw.static()]
+        + [MirrorLaw.moving(r * CTX.velocity(K1)) for r in (1.5, 1.0, 0.5, 0.0, -0.3, -1.0, -1.5)],
+        ids=["sudden", "static", "1.5", "1.0", "0.5", "0.0", "-0.3", "-1.0", "-1.5"],
+    )
+    def test_counts_are_mean_quantum_density(self, law):
+        # quantum referee: away from its edges each region's mean |psi|^2
+        # is its stream count, and so is a 1.5 v_k t strip left of them all
+        s = Scenario(CTX, K1, law, 20e-3)
+        edges, counts = stream_regions(s)
+        bounds = [(edges[0] - 1.5 * s.front, edges[0], counts[0])]
+        bounds += [(lo, hi, c) for lo, hi, c in zip(edges, edges[1:], counts[1:]) if hi - lo > 1e-9]
+        for lo, hi, c in bounds:
+            xs = np.linspace(lo + 0.15 * (hi - lo), hi - 0.15 * (hi - lo), 4001)
+            assert profile(s, xs).densities.mean() == pytest.approx(c, abs=1e-2), (lo, hi)
 
 
 class TestPsiNearLimit:
