@@ -3,8 +3,14 @@
 The fringe machinery works on sampled density profiles.  Extrema are
 located by a three-point discrete test and refined by parabolic
 interpolation, which is accurate to O(h**2) of the fringe scale
-sqrt(pi hbar t / m) provided the grid resolves the fringes (spacing of
-1/20 of the fringe width or finer near the front).
+delta = sqrt(pi hbar t / m) provided the grid resolves the fringes
+(spacing of 1/20 of the fringe width or finer near the front).
+
+Each scenario has one fringe window.  A mirror slower than the beam
+shows its main fringe in the reflected region [x_plus, v t] once that
+region holds more than one standing-wave period pi/k' = delta**2 /
+((v_k - v) t); nearer the beam speed, as for sudden removal and v >= v_k,
+the main fringe is the front's, so a velocity scan runs through v = v_k.
 """
 
 from __future__ import annotations
@@ -15,13 +21,7 @@ import numpy as np
 
 from .physics import MirrorKind, MirrorLaw, PhysicalContext, Scenario
 from .specialfn import fresnel
-from .waves import (
-    critical_points,
-    initial_state,
-    psi_moving,
-    psi_sudden,
-    WaveComponents,
-)
+from .waves import critical_points, initial_state, psi_moving, psi_sudden
 
 
 class AnalysisError(RuntimeError):
@@ -35,7 +35,6 @@ class DensityProfile:
     scenario: Scenario
     xs: np.ndarray
     densities: np.ndarray
-    components: WaveComponents | None = None
 
     def __post_init__(self):
         xs = np.asarray(self.xs, dtype=float)
@@ -76,24 +75,20 @@ def fringe_scale(scenario: Scenario) -> float:
     return float(np.sqrt(np.pi * ctx.hbar * scenario.time / ctx.mass))
 
 
-def profile(scenario: Scenario, xs, with_components: bool = False) -> DensityProfile:
+def profile(scenario: Scenario, xs) -> DensityProfile:
     """Evaluate |psi|**2 for the scenario's mirror law on the given grid.
 
     The forbidden region beyond a moving mirror reports density zero.
     """
     xs = np.asarray(xs, dtype=float)
     kind = scenario.mirror.kind
-    components = None
     if kind is MirrorKind.STATIC:
         dens = np.abs(initial_state(xs, scenario.k)) ** 2
     elif kind is MirrorKind.SUDDEN_REMOVAL:
         dens = np.abs(psi_sudden(xs, scenario.time, scenario.k, scenario.context)) ** 2
     else:
-        wc = psi_moving(xs, scenario)
-        dens = np.abs(wc.psi) ** 2
-        if with_components:
-            components = wc
-    return DensityProfile(scenario, xs, dens, components)
+        dens = np.abs(psi_moving(xs, scenario).psi) ** 2
+    return DensityProfile(scenario, xs, dens)
 
 
 def _refine_extremum(xs, d, i):
@@ -120,38 +115,50 @@ def _local_extrema(d):
     return maxima, minima
 
 
-def _analysis_window(p: DensityProfile):
-    """(lo, hi, mirror_side) bounds of the fringe search window."""
-    s = p.scenario
+# the mirror side needs a reflected region [x_plus, v t] wider than c delta,
+# which puts c**2 standing-wave periods in it: c**2 = 33/32 is one period plus
+# one step of the scan grid, clear of the widest mirror-side failure seen,
+# (v_k - v) t = 1.0118 delta
+_MIRROR_SIDE_WIDTH = np.sqrt(33.0 / 32.0)
+
+
+def _fringe_window(s: Scenario):
+    """(lo, hi, mirror_side, (grid_lo, grid_hi, step)): the search window of the
+    main fringe, which side it is on, and the scan grid that resolves it."""
     kind = s.mirror.kind
     if kind is MirrorKind.STATIC or (kind is MirrorKind.MOVING and s.mirror_velocity <= 0.0):
         # only the standing wave in front of the mirror would be found
         raise AnalysisError("a static or approaching mirror has no travelling front fringe")
     delta = fringe_scale(s)
-    if kind is MirrorKind.MOVING and s.mirror_velocity < s.v_k:
+    if kind is MirrorKind.MOVING and s.front - s.mirror_position > _MIRROR_SIDE_WIDTH * delta:
         cp = critical_points(s)
-        return cp.x_plus, cp.x_mirror, True
-    hi = s.front + 6.0 * delta
+        kp = s.context.wavenumber(s.v_k - s.mirror_velocity)
+        # 32 points per standing-wave period pi/kp, which is below delta here
+        grid = (cp.x_plus - 2.0 * delta, cp.x_mirror, np.pi / kp / 32.0)
+        return cp.x_plus, cp.x_mirror, True, grid
+    hi, grid_hi = s.front + 6.0 * delta, s.front + 7.0 * delta
     if kind is MirrorKind.MOVING:
-        hi = min(hi, s.mirror_position)
-    return s.front - 12.0 * delta, hi, False
+        hi, grid_hi = min(hi, s.mirror_position), min(grid_hi, s.mirror_position)
+    return s.front - 12.0 * delta, hi, False, (s.front - 14.0 * delta, grid_hi, delta / 64.0)
 
 
 def main_fringe(p: DensityProfile) -> FringeStats:
     """Extract the main fringe of the matter-wave front.
 
-    For sudden removal and mirrors at or above beam velocity the main
+    For sudden removal and mirrors at or near beam velocity the main
     peak is the highest local maximum in a window around the beam front
-    v_k t (ties broken toward the front).  For a mirror slower than the
-    beam the fringes of interest are the reflected-front oscillations
-    between x_plus and the mirror; there the most developed fringe --
+    v_k t, cut at the wall (ties broken toward the front).  For a mirror
+    slower than the beam by (v_k - v) t > sqrt(33/32) delta, so that the
+    reflected region [x_plus, v t] holds more than one standing-wave
+    period pi/k' = delta**2 / ((v_k - v) t), the fringes of interest are
+    the reflected-front oscillations there; the most developed fringe --
     the one adjacent to the mirror, which tends to the asymptotic
     standing wave -- is taken as the main peak.  In every case p_min is
     the first local minimum behind (left of) the peak, per the contrast
     definition V = (P_max - P_min)/(P_max + P_min).  A mirror that does
     not recede leaves no travelling front and raises ``AnalysisError``.
     """
-    lo, hi, mirror_side = _analysis_window(p)
+    lo, hi, mirror_side, _ = _fringe_window(p.scenario)
     xs, d = p.xs, p.densities
     lo = max(lo, xs[0])
     hi = min(hi, xs[-1])
@@ -246,22 +253,11 @@ class WidthScalingResult:
     exponent: float
 
 
-def _front_grid(scenario: Scenario) -> np.ndarray:
-    """Grid resolving the fringe window of the scenario's front (64 points per fringe scale)."""
-    delta = fringe_scale(scenario)
-    kind = scenario.mirror.kind
-    if kind is MirrorKind.MOVING and scenario.mirror_velocity < scenario.v_k:
-        cp = critical_points(scenario)
-        kp = scenario.context.wavenumber(scenario.v_k - scenario.mirror_velocity)
-        step = min(delta, np.pi / kp) / 32.0
-        lo, hi = cp.x_plus - 2.0 * delta, cp.x_mirror
-    else:
-        step = delta / 64.0
-        lo, hi = scenario.front - 14.0 * delta, scenario.front + 7.0 * delta
-        if kind is MirrorKind.MOVING:
-            hi = min(hi, scenario.mirror_position)
+def _front_fringe(s: Scenario) -> FringeStats:
+    """Main fringe of the scenario on the scan grid of its fringe window."""
+    lo, hi, step = _fringe_window(s)[3]
     n = int(np.ceil((hi - lo) / step)) + 1
-    return np.linspace(lo, hi, n)
+    return main_fringe(profile(s, np.linspace(lo, hi, n)))
 
 
 def fringe_width_scaling(scenario: Scenario, times) -> WidthScalingResult:
@@ -279,8 +275,7 @@ def fringe_width_scaling(scenario: Scenario, times) -> WidthScalingResult:
     pts = []
     for t in ts:
         s = Scenario(scenario.context, scenario.k, scenario.mirror, t)
-        stats = main_fringe(profile(s, _front_grid(s)))
-        pts.append((t, stats.fringe_width))
+        pts.append((t, _front_fringe(s).fringe_width))
     log_t = np.log([p[0] for p in pts])
     log_w = np.log([p[1] for p in pts])
     exponent = float(np.polyfit(log_t, log_w, 1)[0])
@@ -312,6 +307,6 @@ def enhancement_scan(v_over_vk, scenario: Scenario) -> list[ScanPoint]:
         s = Scenario(
             scenario.context, scenario.k, MirrorLaw.moving(r * v_k), scenario.time
         )
-        stats = main_fringe(profile(s, _front_grid(s)))
+        stats = _front_fringe(s)
         out.append(ScanPoint(v_over_vk=r, p_max=stats.p_max, visibility=stats.visibility))
     return out

@@ -13,10 +13,10 @@ captions; files carry a comment-prefixed manifest with both lab and SI
 values.  Output is deterministic: identical flags produce byte-identical
 files apart from the timestamp header line.
 
-Exit codes: 0 success, 1 usage/configuration error, 2 numerical-validation
-failure.  The parser declares the per-flag rules, commands raise ValueError
-for cross-flag ones, and ``main`` is the one map from exceptions to exit
-codes and stderr prefixes.
+Exit codes: 0 success, 1 usage/configuration error or no resolvable fringe
+(``AnalysisError``), 2 numerical-validation failure.  The parser declares
+the per-flag rules, commands raise ValueError for cross-flag ones, and
+``main`` is the one map from exceptions to exit codes and stderr prefixes.
 """
 
 from __future__ import annotations
@@ -299,14 +299,15 @@ def cmd_profile(args) -> int:
         raise ValueError("--components needs a moving mirror (--v)")
     s = _scenario(args)
     xs = _grid(args, s)
-    prof = analysis.profile(s, xs, with_components=args.components)
     params = _scenario_params(s)
     params["points"] = len(xs)
     columns = ["x_um", "density"]
-    cols = [from_si(xs, "um"), prof.densities]
     if args.components:
+        wc = psi_moving(xs, s)
         columns += ["m1_abs2", "m2_abs2", "m3_abs2", "m4_abs2"]
-        cols += _component_columns(prof.components)
+        cols = [from_si(xs, "um"), np.abs(wc.psi) ** 2, *_component_columns(wc)]
+    else:
+        cols = [from_si(xs, "um"), analysis.profile(s, xs).densities]
     _write_table(args.out, "profile", params, columns, np.column_stack(cols))
     return 0
 
@@ -514,7 +515,7 @@ def main(argv=None) -> int:
     except OracleConfigError as exc:
         print(f"oracle configuration rejected: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
+    except (ValueError, analysis.AnalysisError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OracleNumericalError as exc:

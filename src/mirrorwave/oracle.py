@@ -76,6 +76,10 @@ _BLOCK_SIZE = 1 << 16
 # the most panels a quadrature run may take: default configurations need at
 # most ~1.3e6 (v_k 1 cm/s, v 3 cm/s, t 100 ms), so this leaves ~100x headroom
 _MAX_PANELS = 1 << 27
+# the most grid intervals a grid run may take: default configurations need
+# at most 2**22 over v_k 0.1-1 cm/s, t 1-100 ms and v <= 1.5 v_k (2**24 at
+# v = 3 v_k, t 100 ms); a run holds ~91 bytes per interval, ~1.5 GB here
+_MAX_GRID_POINTS = 1 << 24
 
 
 class OracleConfigError(ValueError):
@@ -250,6 +254,8 @@ def evolve_grid(scenario: Scenario, config: OracleConfig) -> DensityProfile:
     exp(-2i n atan(w dt/2)), one multiply per mode.  The norm of the
     evolved state is checked in real space, after the inverse transform:
     drift beyond 1e-8 from the initial state raises ``OracleNumericalError``.
+    More than ``_MAX_GRID_POINTS`` grid intervals raise ``OracleConfigError``
+    before any array is allocated.
     """
     if scenario.mirror.kind is MirrorKind.SUDDEN_REMOVAL:
         raise OracleConfigError(
@@ -266,6 +272,11 @@ def evolve_grid(scenario: Scenario, config: OracleConfig) -> DensityProfile:
     half_periods = math.ceil(config.domain_length * k / np.pi)
     big_l = half_periods * np.pi / k
     n = int(config.grid_points)
+    if n > _MAX_GRID_POINTS:
+        raise OracleConfigError(
+            f"grid_points N = {n} is more than {_MAX_GRID_POINTS}; give a smaller N"
+            " (CLI: --grid-points)"
+        )
     dy = big_l / n
     y = -big_l + dy * np.arange(1, n)
 

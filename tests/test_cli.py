@@ -258,6 +258,32 @@ class TestVisibilityCommand:
         _, _, rows = read_table(out)
         assert rows.shape == (1, 3)
 
+    def test_scan_just_below_beam_speed(self, tmp_path):
+        # at v = 0.99 v_k the reflected region is 0.47 fringe scales wide,
+        # less than one standing-wave period: the front fringe is read
+        out = tmp_path / "slow.csv"
+        rc = main(
+            "visibility --vk 1.0 --t 5 --ratio-min 0.3 --ratio-max 0.99 "
+            "--ratio-points 5 --out".split()
+            + [str(out)]
+        )
+        assert rc == 0
+        _, _, rows = read_table(out)
+        assert rows.shape == (5, 3)
+
+    def test_no_resolvable_fringe_exit_1(self, tmp_path, capsys):
+        # v_k t is only 5.4 fringe scales: no minimum behind the main peak
+        out = tmp_path / "x.csv"
+        rc = main(
+            "visibility --vk 0.075 --t 120 --ratio-min 1.02 --ratio-max 1.02 "
+            "--ratio-points 1 --out".split()
+            + [str(out)]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == "error: no local minimum behind the main peak\n"
+        assert not out.exists()
+
     def test_nonpositive_ratio_rejected(self, tmp_path):
         rc = main(
             "visibility --vk 1.0 --t 50 --ratio-min -1 --ratio-max 2 --out".split()
@@ -421,6 +447,8 @@ class TestOracleCommand:
         "oracle --vk 1.0 --static --t 2 --oracle quadrature --tolerance 1e-4 --trunc-um nan --points 3",
         "oracle --vk 1.0 --static --t 2 --oracle quadrature --tolerance 1e-4 --trunc-um inf --points 3",
         "oracle --vk 1.0 --static --t 2 --oracle quadrature --tolerance 1e-4 --trunc-um -1 --points 3",
+        # more grid-oracle intervals than the cap, rejected before allocation
+        "oracle --vk 1.0 --static --t 2 --oracle grid --tolerance 1e-3 --grid-points 1000000000000",
         # a repeated beam velocity would repeat its columns; 1 and
         # 1.0000000000001 share the column tag "1"
         "visibility --vk 1,1 --t 50",

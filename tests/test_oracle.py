@@ -171,6 +171,18 @@ class TestGridOracle:
         prof = evolve_grid(s, default_config(s))
         assert compare(prof, profile(s, prof.xs)).max_abs_err <= 1e-3
 
+    @pytest.mark.parametrize("n", [oracle._MAX_GRID_POINTS + 1, 1 << 40])
+    def test_oversized_grid_rejected_before_allocation(self, monkeypatch, n):
+        s = Scenario(CTX, K1, MirrorLaw.static(), 2e-3)
+        cfg = replace(default_config(s), grid_points=n)
+
+        def spy(*args):
+            raise AssertionError("initial_state ran")
+
+        monkeypatch.setattr(oracle, "initial_state", spy)
+        with pytest.raises(OracleConfigError, match=f"N = {n} is more than "):
+            evolve_grid(s, cfg)
+
     @seed(20071)
     @settings(max_examples=24, deadline=None, database=None)
     @given(

@@ -285,6 +285,27 @@ class TestPsiMoving:
         with pytest.raises(ValueError):
             psi_moving(0.0, s)
 
+    def test_component_fronts(self):
+        # v = 1.5 cm/s, t = 5 ms: image fronts near 100 um and 200 um,
+        # free fronts near +-50 um
+        v, t = 0.015, 5e-3
+        s = Scenario(CTX, K1, MirrorLaw.moving(v), t)
+        spread = np.sqrt(CTX.hbar * t / CTX.mass)
+        xs = np.linspace(-120e-6, 230e-6, 3000)
+        wc = psi_moving(xs, s)
+
+        def front(vals, occupied_side, level=0.25):
+            # edge of the region where the formal component density holds
+            # its plateau; the free terms fill space to the left of their
+            # fronts, the images open rightward toward their sources
+            idx = np.where(vals >= level)[0]
+            return xs[idx[-1] if occupied_side == "left" else idx[0]]
+
+        assert front(np.abs(wc.m1) ** 2, "left") == pytest.approx(50e-6, abs=4 * spread)
+        assert front(np.abs(wc.m2) ** 2, "left") == pytest.approx(-50e-6, abs=4 * spread)
+        assert front(np.abs(wc.m3) ** 2, "right") == pytest.approx(100e-6, abs=4 * spread)
+        assert front(np.abs(wc.m4) ** 2, "right") == pytest.approx(200e-6, abs=4 * spread)
+
 
 class TestSharedChirpBitwise:
     """The wavefunctions share one chirp and form plane waves only where
