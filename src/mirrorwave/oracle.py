@@ -275,7 +275,8 @@ def evolve_grid(scenario: Scenario, config: OracleConfig) -> DensityProfile:
     if n > _MAX_GRID_POINTS:
         raise OracleConfigError(
             f"grid_points N = {n} is more than {_MAX_GRID_POINTS}; give a smaller N"
-            " (CLI: --grid-points)"
+            " (CLI: --grid-points) if it still resolves the beam, or validate the"
+            " scenario with the quadrature oracle (CLI: --oracle quadrature)"
         )
     dy = big_l / n
     y = -big_l + dy * np.arange(1, n)

@@ -70,11 +70,17 @@ def cis(phi) -> np.ndarray:
 
     ``phi`` may be float64 or long double, scalar or array.  Passing a
     long-double phi computed from long-double factors keeps the phase
-    error near eps_ld * |phi| instead of eps_64 * |phi|.
+    error near eps_ld * |phi| instead of eps_64 * |phi|.  The cosine and
+    sine are written in place into the real and imaginary parts of one
+    complex output, bitwise equal to ``cos + 1j * sin`` of the reduced
+    phase; a 0-d phi gives a numpy complex scalar.
     """
     phi_ld = np.asarray(phi, dtype=np.longdouble)
     reduced = np.mod(phi_ld, TWO_PI_LD).astype(np.float64)
-    return np.cos(reduced) + 1j * np.sin(reduced)
+    out = np.empty(reduced.shape, dtype=complex)
+    np.cos(reduced, out=out.real)
+    np.sin(reduced, out=out.imag)
+    return out[()]
 
 
 def _in_place(p):

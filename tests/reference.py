@@ -27,8 +27,11 @@ mp.mp.dps = 30
 
 
 def bits(a):
-    """The float64 words of a complex value or array, flattened, for bitwise comparison."""
-    return np.ascontiguousarray(a, dtype=complex).reshape(-1).view(np.float64)
+    """The 64-bit words of a complex value or array, flattened, for bitwise comparison.
+
+    Compared as unsigned integers, so the sign of zero and NaN payloads count.
+    """
+    return np.ascontiguousarray(a, dtype=complex).reshape(-1).view(np.uint64)
 
 
 def faddeeva_ref(z) -> complex:

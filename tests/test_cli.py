@@ -356,6 +356,17 @@ class TestOracleCommand:
         manifest, _, _ = read_table(out)
         assert int(manifest["grid_points"]) == 32768
 
+    def test_default_grid_past_cap_names_quadrature(self, tmp_path, capsys):
+        # default_config sizes N = 2**25 here, past the grid cap; a smaller
+        # N would under-resolve the beam, so the message names the other oracle
+        out = tmp_path / "cap.csv"
+        argv = "oracle --vk 1.0 --v 3.5 --t 100 --oracle grid --tolerance 1e-3 --out".split()
+        assert main(argv + [str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "grid_points N = 33554432" in err
+        assert "--grid-points" in err and "--oracle quadrature" in err
+        assert not out.exists()
+
     def test_small_truncation_window_passes(self, tmp_path):
         # a 20 um support puts the stationary points of many window points
         # in the tail, and a 0 um support leaves only the tail; it is

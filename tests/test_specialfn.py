@@ -342,6 +342,36 @@ class TestCis:
         ref = complex(mp.expj(mp.mpf("10000.125")))
         assert abs(complex(cis(phi)[()]) - ref) < 5e-15
 
+    @staticmethod
+    def sum_form(phi):
+        """The cos + 1j*sin expression that cis fills in place, on the same reduction."""
+        reduced = np.mod(np.asarray(phi, dtype=np.longdouble), specialfn.TWO_PI_LD).astype(np.float64)
+        return np.cos(reduced) + 1j * np.sin(reduced)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+    def test_bitwise_equal_to_cos_plus_i_sin(self, dtype):
+        n = np.arange(-40, 41).astype(np.longdouble)
+        rng = np.random.default_rng(19)
+        phi = np.concatenate(
+            [
+                [0.0, -0.0],
+                n * specialfn.TWO_PI_LD,  # multiples of 2 pi, either sign
+                np.nextafter(n * specialfn.TWO_PI_LD, 0.0),
+                rng.uniform(-1.2e4, 1.2e4, 4001),  # phases of ~1e4 rad
+                rng.uniform(-7.0, 7.0, 1001),
+            ]
+        ).astype(dtype)
+        assert np.array_equal(bits(cis(phi)), bits(self.sum_form(phi)))
+        grid = phi[:1200].reshape(30, 40)
+        assert np.array_equal(bits(cis(grid)), bits(self.sum_form(grid)))
+        assert cis(grid).shape == (30, 40)
+
+    @pytest.mark.parametrize("phi", [0.0, -0.0, 1e4, np.longdouble("-1e4"), np.float64(3.0)])
+    def test_scalar_keeps_type(self, phi):
+        one = cis(phi)
+        assert type(one) is np.complex128
+        assert np.array_equal(bits(one), bits(self.sum_form(phi)))
+
 
 class TestPrecisionCheck:
     def test_double_long_double_warns(self):

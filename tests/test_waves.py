@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mirrorwave import waves
 from mirrorwave.analysis import profile
 from mirrorwave.physics import MirrorLaw, PhysicalContext, Scenario
 from mirrorwave.specialfn import cis
@@ -392,6 +393,72 @@ class TestSharedChirpBitwise:
         assert grid.shape == (401, 9)
         assert np.array_equal(bits(grid[:, 3]), bits(moshinsky_m(x, k[150], t, CTX)))
         assert type(moshinsky_m(1e-5, k[7], t, CTX)) is complex
+
+
+class TestBlockwiseBitwise:
+    """Blocked evaluation is bitwise equal to one block over the whole grid."""
+
+    VK, T = 0.01, 10e-3
+
+    @staticmethod
+    def outputs(x, t, k, law):
+        """Every wavefunction output on x, by name."""
+        s = Scenario(CTX, k, law, t)
+        wc = psi_moving(x, s)
+        out = {f: getattr(wc, f) for f in ("m1", "m2", "m3", "m4", "prefactor", "psi")}
+        out["psi_near_limit"] = psi_near_limit(x, s)
+        out["psi_sudden"] = psi_sudden(x, t, k, CTX)
+        out["moshinsky_m"] = moshinsky_m(x - s.mirror_position, k, t, CTX)
+        out["moshinsky_m_k"] = moshinsky_m(x, np.linspace(-2.0, 2.0, x.size) * k, t, CTX)
+        return out
+
+    def grid(self, n, v):
+        """n sorted points over [-2 v_k t, 2 v_k t], one of them exactly on the wall."""
+        rng = np.random.default_rng([19, n])
+        front = self.VK * self.T
+        x = rng.uniform(-2.0 * front, 2.0 * front, n)
+        x[n // 2] = v * self.T
+        return np.sort(x)
+
+    # at -0.4 and 0.999 psi on the wall is 0 - 0j, so the sign of zero is pinned too
+    @pytest.mark.parametrize("ratio", [-0.4, 0.999, 1.3])
+    @pytest.mark.parametrize("size", ["1", "2", "B-1", "B", "B+1", "2B+1", "200000"])
+    def test_blocked_equals_one_block(self, monkeypatch, ratio, size):
+        b = waves._BLOCK
+        n = {"B-1": b - 1, "B": b, "B+1": b + 1, "2B+1": 2 * b + 1}.get(size) or int(size)
+        v, t, k = ratio * self.VK, self.T, CTX.wavenumber(self.VK)
+        law = MirrorLaw.moving(v)
+        x = self.grid(n, v)
+        blocked = self.outputs(x, t, k, law)
+        # B+1 and 2B+1 leave a one-point last block, where in-place
+        # products would take numpy's scalar loop (specialfn._in_place)
+        monkeypatch.setattr(waves, "_BLOCK", n)
+        whole = self.outputs(x, t, k, law)
+        for name, ref in whole.items():
+            assert blocked[name].shape == ref.shape == (n,), name
+            assert np.array_equal(bits(blocked[name]), bits(ref)), name
+        wall = x == v * t
+        assert wall.any() and np.all(blocked["psi"][wall] == 0.0)
+
+    def test_small_blocks(self, monkeypatch):
+        # many block edges, a one-point last block, a 2-d grid and a broadcast k
+        v, t, k = 0.5 * self.VK, self.T, CTX.wavenumber(self.VK)
+        x = self.grid(4 * 9, v).reshape(4, 9)  # 36 = 7 * 5 + 1 points
+        law = MirrorLaw.moving(v)
+        whole = self.outputs(x.ravel(), t, k, law)
+        grid_whole = moshinsky_m(x[:, :1], k * np.linspace(-2.0, 2.0, 9), t, CTX)
+        monkeypatch.setattr(waves, "_BLOCK", 5)
+        blocked = self.outputs(x.ravel(), t, k, law)
+        for name, ref in whole.items():
+            assert np.array_equal(bits(blocked[name]), bits(ref)), name
+        wc = psi_moving(x, Scenario(CTX, k, law, t))
+        assert wc.psi.shape == (4, 9)
+        assert np.array_equal(bits(wc.psi), bits(whole["psi"]))
+        grid = moshinsky_m(x[:, :1], k * np.linspace(-2.0, 2.0, 9), t, CTX)
+        assert grid.shape == (4, 9)
+        assert np.array_equal(bits(grid), bits(grid_whole))
+        assert type(psi_moving(float(x[0, 0]), Scenario(CTX, k, law, t)).psi) is complex
+        assert type(psi_sudden(float(x[0, 0]), t, k, CTX)) is complex
 
 
 class TestCriticalPoints:
