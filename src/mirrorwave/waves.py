@@ -33,13 +33,13 @@ x only through x**2, so each wavefunction builds it once and shares it
 bitwise between its terms at x and -x: ``psi_moving`` uses one chirp for
 all four terms, ``psi_sudden`` and ``psi_near_limit`` one for both.
 
-The wavefunctions are evaluated over blocks of ``_BLOCK`` = 8192 points
-(``_blockwise``), so that the ~20 complex and long-double temporaries of a
-block stay in a core's L2 cache instead of streaming from L3 on every
-pass of the w(z) series.  Every operation is elementwise and keeps its
-operand order, so an element rounds alike in any block, and the results
-do not depend on ``_BLOCK``; inputs of at most ``_BLOCK`` points run as
-one call.
+``psi_moving`` and ``psi_sudden``, which every density profile runs, are
+evaluated over blocks of ``_BLOCK`` = 8192 points (``_blockwise``), so
+that the ~20 complex and long-double temporaries of a block stay in a
+core's L2 cache instead of streaming from L3 on every pass of the w(z)
+series.  Every operation is elementwise and keeps its operand order, so
+an element rounds alike in any block, and the results do not depend on
+``_BLOCK``; inputs of at most ``_BLOCK`` points run as one call.
 
 The functions that take a ``Scenario`` read the evaluation time from
 ``scenario.time``, the wall from ``scenario.mirror_position`` and the
@@ -49,7 +49,6 @@ scalars or numpy arrays for x, and may be called concurrently.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,30 +61,24 @@ from .specialfn import cis, faddeeva
 _BLOCK = 8192
 
 
-def _blockwise(f, *args):
-    """``f(*args)`` evaluated over consecutive blocks of ``_BLOCK`` points.
+def _blockwise(f, x):
+    """``f(x)`` evaluated over consecutive blocks of ``_BLOCK`` points of x.
 
-    ``f`` is elementwise in its array arguments and returns one array or
-    a tuple of arrays of their broadcast shape.  0-d arguments pass
-    whole; the others are broadcast, flattened and cut into blocks, and
-    each block's results are copied into preallocated outputs.  Inputs of
-    at most ``_BLOCK`` points go to ``f`` unchanged.
+    ``f`` is elementwise in the array x and returns a tuple of arrays of
+    its shape; each block's results are copied into preallocated outputs.
+    An x of at most ``_BLOCK`` points goes to ``f`` unchanged.
     """
-    shape = np.broadcast_shapes(*(np.shape(a) for a in args))
-    n = math.prod(shape)
-    if n <= _BLOCK:
-        return f(*args)
-    flat = [a if np.ndim(a) == 0 else np.broadcast_to(a, shape).reshape(-1) for a in args]
+    if x.size <= _BLOCK:
+        return f(x)
+    flat = x.reshape(-1)
     outs = None
-    for lo in range(0, n, _BLOCK):
-        got = f(*(a if np.ndim(a) == 0 else a[lo : lo + _BLOCK] for a in flat))
-        parts = got if isinstance(got, tuple) else (got,)
+    for lo in range(0, flat.size, _BLOCK):
+        parts = f(flat[lo : lo + _BLOCK])
         if outs is None:
-            outs = [np.empty(n, dtype=p.dtype) for p in parts]
+            outs = [np.empty(flat.size, dtype=p.dtype) for p in parts]
         for out, p in zip(outs, parts):
             out[lo : lo + _BLOCK] = p
-    outs = tuple(out.reshape(shape) for out in outs)
-    return outs if isinstance(got, tuple) else outs[0]
+    return tuple(out.reshape(x.shape) for out in outs)
 
 
 def initial_state(x, k: float):
@@ -140,11 +133,8 @@ def moshinsky_m(x, k, t: float, context: PhysicalContext):
     """Moshinsky function M(x, k, t); finite for all finite inputs, t > 0."""
     if not t > 0.0:
         raise ValueError("moshinsky_m requires t > 0")
-
-    def block(xb, kb):
-        return _moshinsky(xb, kb, t, context, _chirp(xb, t, context))
-
-    val = _blockwise(block, np.asarray(x, dtype=float), np.asarray(k, dtype=float))
+    xa = np.asarray(x, dtype=float)
+    val = _moshinsky(xa, np.asarray(k, dtype=float), t, context, _chirp(xa, t, context))
     return complex(val) if val.ndim == 0 else val
 
 
@@ -155,9 +145,9 @@ def psi_sudden(x, t: float, k: float, context: PhysicalContext):
 
     def block(xb):
         chirp = _chirp(xb, t, context)
-        return _moshinsky(xb, k, t, context, chirp) - _moshinsky(xb, -k, t, context, chirp)
+        return (_moshinsky(xb, k, t, context, chirp) - _moshinsky(xb, -k, t, context, chirp),)
 
-    val = _blockwise(block, np.asarray(x, dtype=float))
+    (val,) = _blockwise(block, np.asarray(x, dtype=float))
     return complex(val) if val.ndim == 0 else val
 
 
@@ -307,15 +297,11 @@ def psi_near_limit(x, scenario: Scenario):
         raise ValueError("psi_near_limit requires the finite-velocity mirror variant")
     ctx = scenario.context
     v = scenario.mirror_velocity
-    wall = scenario.mirror_position
-
-    def block(xb):
-        y = xb - wall
-        chirp = _chirp(y, t, ctx)
-        pair = _moshinsky(y, 0.0, t, ctx, chirp) - _moshinsky(-y, 0.0, t, ctx, chirp)
-        return _boost(xb, t, v, ctx) * pair
-
-    val = _blockwise(block, np.asarray(x, dtype=float))
+    xa = np.asarray(x, dtype=float)
+    y = xa - scenario.mirror_position
+    chirp = _chirp(y, t, ctx)
+    pair = _moshinsky(y, 0.0, t, ctx, chirp) - _moshinsky(-y, 0.0, t, ctx, chirp)
+    val = _boost(xa, t, v, ctx) * pair
     return complex(val) if val.ndim == 0 else val
 
 

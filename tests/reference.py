@@ -11,7 +11,7 @@ integral of the quadrature tail in 40 digits.  It also holds helpers only
 the tests use: erfc of a complex argument built on the package's
 Faddeeva kernel, the scaled Moshinsky argument z and the large-|z|
 expansion of M, the grid-oracle refinement step of convergence
-studies, and the float64 words of complex results for bitwise checks.
+studies, and the 64-bit words of complex results for bitwise checks.
 """
 
 import math
@@ -29,9 +29,12 @@ mp.mp.dps = 30
 def bits(a):
     """The 64-bit words of a complex value or array, flattened, for bitwise comparison.
 
-    Compared as unsigned integers, so the sign of zero and NaN payloads count.
+    Compared as unsigned integers, so the sign of zero counts.  A NaN
+    fails here, so two results that are the same NaN never compare equal.
     """
-    return np.ascontiguousarray(a, dtype=complex).reshape(-1).view(np.uint64)
+    arr = np.ascontiguousarray(a, dtype=complex).reshape(-1)
+    assert not np.isnan(arr).any(), "bits() of a NaN"
+    return arr.view(np.uint64)
 
 
 def faddeeva_ref(z) -> complex:

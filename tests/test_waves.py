@@ -402,14 +402,10 @@ class TestBlockwiseBitwise:
 
     @staticmethod
     def outputs(x, t, k, law):
-        """Every wavefunction output on x, by name."""
-        s = Scenario(CTX, k, law, t)
-        wc = psi_moving(x, s)
+        """Every blocked wavefunction output on x, by name."""
+        wc = psi_moving(x, Scenario(CTX, k, law, t))
         out = {f: getattr(wc, f) for f in ("m1", "m2", "m3", "m4", "prefactor", "psi")}
-        out["psi_near_limit"] = psi_near_limit(x, s)
         out["psi_sudden"] = psi_sudden(x, t, k, CTX)
-        out["moshinsky_m"] = moshinsky_m(x - s.mirror_position, k, t, CTX)
-        out["moshinsky_m_k"] = moshinsky_m(x, np.linspace(-2.0, 2.0, x.size) * k, t, CTX)
         return out
 
     def grid(self, n, v):
@@ -440,25 +436,35 @@ class TestBlockwiseBitwise:
         wall = x == v * t
         assert wall.any() and np.all(blocked["psi"][wall] == 0.0)
 
-    def test_small_blocks(self, monkeypatch):
-        # many block edges, a one-point last block, a 2-d grid and a broadcast k
+    @pytest.mark.parametrize("block", [1, 2, 3])
+    def test_one_point_subsets_at_every_region_edge(self, monkeypatch, block):
+        # Blocks of 1-3 points leave one-point subsets in every w(z)
+        # region and in the u >= 0 plane-wave subset.  M(x, k) has
+        # |z| = |x - v_k t| / scale, so s = (x - v_k t) / scale spans the
+        # Maclaurin (|z| <= 1.8), Weideman and ray (|z| > 12) regions on
+        # both signs of u, densely around |z| = 1.8 and 12; the
+        # wavefunctions never reach the off-ray wofz region.
         v, t, k = 0.5 * self.VK, self.T, CTX.wavenumber(self.VK)
-        x = self.grid(4 * 9, v).reshape(4, 9)  # 36 = 7 * 5 + 1 points
+        scale = np.sqrt(2.0 * CTX.hbar * t / CTX.mass)
+        edges = [e * (1.0 + np.linspace(-1e-3, 1e-3, 101)) for e in (-12.0, -1.8, 1.8, 12.0)]
+        s = np.concatenate([np.linspace(-15.0, 15.0, 1201), *edges, [0.0]])
+        x = np.sort(self.VK * t + s * scale)
+        x[np.argmin(np.abs(x - v * t))] = v * t
+        z = np.abs(s)
+        assert (z <= 1.8).sum() > 200 and ((z > 1.8) & (z <= 12.0)).sum() > 200
+        assert (z > 12.0).sum() > 200 and (s < 0).sum() > 200 and (s > 0).sum() > 200
         law = MirrorLaw.moving(v)
-        whole = self.outputs(x.ravel(), t, k, law)
-        grid_whole = moshinsky_m(x[:, :1], k * np.linspace(-2.0, 2.0, 9), t, CTX)
-        monkeypatch.setattr(waves, "_BLOCK", 5)
-        blocked = self.outputs(x.ravel(), t, k, law)
+        whole = self.outputs(x, t, k, law)
+        monkeypatch.setattr(waves, "_BLOCK", block)
+        blocked = self.outputs(x, t, k, law)
         for name, ref in whole.items():
             assert np.array_equal(bits(blocked[name]), bits(ref)), name
-        wc = psi_moving(x, Scenario(CTX, k, law, t))
-        assert wc.psi.shape == (4, 9)
-        assert np.array_equal(bits(wc.psi), bits(whole["psi"]))
-        grid = moshinsky_m(x[:, :1], k * np.linspace(-2.0, 2.0, 9), t, CTX)
-        assert grid.shape == (4, 9)
-        assert np.array_equal(bits(grid), bits(grid_whole))
-        assert type(psi_moving(float(x[0, 0]), Scenario(CTX, k, law, t)).psi) is complex
-        assert type(psi_sudden(float(x[0, 0]), t, k, CTX)) is complex
+        # a 2-d grid comes back in its shape; scalars stay on the scalar path
+        wc = psi_moving(x[:1200].reshape(30, 40), Scenario(CTX, k, law, t))
+        assert wc.psi.shape == (30, 40)
+        assert np.array_equal(bits(wc.psi), bits(whole["psi"][:1200]))
+        assert type(psi_moving(float(x[0]), Scenario(CTX, k, law, t)).psi) is complex
+        assert type(psi_sudden(float(x[0]), t, k, CTX)) is complex
 
 
 class TestCriticalPoints:
