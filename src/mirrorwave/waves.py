@@ -33,13 +33,10 @@ x only through x**2, so each wavefunction builds it once and shares it
 bitwise between its terms at x and -x: ``psi_moving`` uses one chirp for
 all four terms, ``psi_sudden`` and ``psi_near_limit`` one for both.
 
-``psi_moving`` and ``psi_sudden``, which every density profile runs, are
-evaluated over blocks of ``_BLOCK`` = 8192 points (``_blockwise``), so
-that the ~20 complex and long-double temporaries of a block stay in a
-core's L2 cache instead of streaming from L3 on every pass of the w(z)
-series.  Every operation is elementwise and keeps its operand order, so
-an element rounds alike in any block, and the results do not depend on
-``_BLOCK``; inputs of at most ``_BLOCK`` points run as one call.
+Each wavefunction is one straight-line call over the whole of x.  Every
+operation is elementwise and keeps its operand order, so an element
+rounds alike in a call on any subset of the grid; ``analysis.profile``
+relies on this when it evaluates |psi|**2 over cache-sized blocks.
 
 The functions that take a ``Scenario`` read the evaluation time from
 ``scenario.time``, the wall from ``scenario.mirror_position`` and the
@@ -55,30 +52,6 @@ import numpy as np
 
 from .physics import MirrorKind, PhysicalContext, Scenario
 from .specialfn import cis, faddeeva
-
-
-# points per block: a block's temporaries, 128 KiB each, fit in a 2 MiB L2
-_BLOCK = 8192
-
-
-def _blockwise(f, x):
-    """``f(x)`` evaluated over consecutive blocks of ``_BLOCK`` points of x.
-
-    ``f`` is elementwise in the array x and returns a tuple of arrays of
-    its shape; each block's results are copied into preallocated outputs.
-    An x of at most ``_BLOCK`` points goes to ``f`` unchanged.
-    """
-    if x.size <= _BLOCK:
-        return f(x)
-    flat = x.reshape(-1)
-    outs = None
-    for lo in range(0, flat.size, _BLOCK):
-        parts = f(flat[lo : lo + _BLOCK])
-        if outs is None:
-            outs = [np.empty(flat.size, dtype=p.dtype) for p in parts]
-        for out, p in zip(outs, parts):
-            out[lo : lo + _BLOCK] = p
-    return tuple(out.reshape(x.shape) for out in outs)
 
 
 def initial_state(x, k: float):
@@ -142,12 +115,9 @@ def psi_sudden(x, t: float, k: float, context: PhysicalContext):
     """Beam released by instantaneous mirror removal: M(x,k,t) - M(x,-k,t)."""
     if not t > 0.0:
         raise ValueError("psi_sudden requires t > 0")
-
-    def block(xb):
-        chirp = _chirp(xb, t, context)
-        return (_moshinsky(xb, k, t, context, chirp) - _moshinsky(xb, -k, t, context, chirp),)
-
-    (val,) = _blockwise(block, np.asarray(x, dtype=float))
+    xa = np.asarray(x, dtype=float)
+    chirp = _chirp(xa, t, context)
+    val = _moshinsky(xa, k, t, context, chirp) - _moshinsky(xa, -k, t, context, chirp)
     return complex(val) if val.ndim == 0 else val
 
 
@@ -256,22 +226,18 @@ def psi_moving(x, scenario: Scenario) -> WaveComponents:
     k = scenario.k
     kp = k - m * v / hbar
     km = -k - m * v / hbar
-    wall = scenario.mirror_position
-
-    def block(xb):
-        y = xb - wall
-        chirp = _chirp(y, t, ctx)  # (-y)^2 == y^2 bitwise: one chirp serves all four terms
-        m1 = _moshinsky(y, kp, t, ctx, chirp)
-        m2 = _moshinsky(y, km, t, ctx, chirp)
-        m3 = _moshinsky(-y, kp, t, ctx, chirp)
-        m4 = _moshinsky(-y, km, t, ctx, chirp)
-        prefactor = _boost(xb, t, v, ctx)
-        # group the pairs that coincide bitwise at the wall (M1,M3) and (M2,M4)
-        # so psi(vt, t) cancels to exactly zero instead of rounding noise
-        formal = (m1 - m3) - (m2 - m4)
-        return m1, m2, m3, m4, prefactor, np.where(y <= 0.0, prefactor * formal, 0.0 + 0.0j)
-
-    m1, m2, m3, m4, prefactor, psi = _blockwise(block, np.atleast_1d(np.asarray(x, dtype=float)))
+    xa = np.atleast_1d(np.asarray(x, dtype=float))
+    y = xa - scenario.mirror_position
+    chirp = _chirp(y, t, ctx)  # (-y)^2 == y^2 bitwise: one chirp serves all four terms
+    m1 = _moshinsky(y, kp, t, ctx, chirp)
+    m2 = _moshinsky(y, km, t, ctx, chirp)
+    m3 = _moshinsky(-y, kp, t, ctx, chirp)
+    m4 = _moshinsky(-y, km, t, ctx, chirp)
+    prefactor = _boost(xa, t, v, ctx)
+    # group the pairs that coincide bitwise at the wall (M1,M3) and (M2,M4)
+    # so psi(vt, t) cancels to exactly zero instead of rounding noise
+    formal = (m1 - m3) - (m2 - m4)
+    psi = np.where(y <= 0.0, prefactor * formal, 0.0 + 0.0j)
     if np.ndim(x) == 0:
         return WaveComponents(
             m1=complex(m1[0]), m2=complex(m2[0]), m3=complex(m3[0]), m4=complex(m4[0]),

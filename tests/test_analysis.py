@@ -41,6 +41,13 @@ class TestDensityProfile:
             DensityProfile(s, np.array([0.0, 1.0]), np.array([1.0]))
         with pytest.raises(ValueError):
             DensityProfile(s, np.array([0.0, 1.0]), np.array([1.0, -0.5]))
+        with pytest.raises(ValueError, match="nonnegative"):
+            DensityProfile(s, np.array([0.0, 1.0]), np.array([np.nan, 1.0]))
+        with pytest.raises(ValueError, match="strictly increasing"):
+            profile(Scenario(CTX, K1, MirrorLaw.static(), 0.0), [-2e-6, np.nan, -1e-6])
+        for xs in (1e-6, np.zeros((2, 2))):
+            with pytest.raises(ValueError, match="matching 1-D arrays"):
+                profile(s, xs)
 
     def test_profile_static(self):
         s = Scenario(CTX, K1, MirrorLaw.static(), 0.0)

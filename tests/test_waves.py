@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from mirrorwave import waves
+from mirrorwave import analysis
 from mirrorwave.analysis import profile
-from mirrorwave.physics import MirrorLaw, PhysicalContext, Scenario
+from mirrorwave.physics import MirrorKind, MirrorLaw, PhysicalContext, Scenario
 from mirrorwave.specialfn import cis
 from mirrorwave.waves import (
     classical_density,
@@ -395,17 +395,36 @@ class TestSharedChirpBitwise:
         assert type(moshinsky_m(1e-5, k[7], t, CTX)) is complex
 
 
-class TestBlockwiseBitwise:
-    """Blocked evaluation is bitwise equal to one block over the whole grid."""
+class TestBlockedProfileBitwise:
+    """``analysis.profile`` blocks the wavefunction; the densities equal one unblocked call."""
 
     VK, T = 0.01, 10e-3
 
+    def laws(self, v):
+        """The scenario of each mirror law, with the moving mirror at velocity v."""
+        k = CTX.wavenumber(self.VK)
+        return {
+            "static": Scenario(CTX, k, MirrorLaw.static(), self.T),
+            "sudden": Scenario(CTX, k, MirrorLaw.sudden_removal(), self.T),
+            "moving": Scenario(CTX, k, MirrorLaw.moving(v), self.T),
+        }
+
     @staticmethod
-    def outputs(x, t, k, law):
-        """Every blocked wavefunction output on x, by name."""
-        wc = psi_moving(x, Scenario(CTX, k, law, t))
+    def one_call(s, x):
+        """|psi|**2 of one wavefunction call over the whole grid."""
+        kind = s.mirror.kind
+        if kind is MirrorKind.STATIC:
+            return np.abs(initial_state(x, s.k)) ** 2
+        if kind is MirrorKind.SUDDEN_REMOVAL:
+            return np.abs(psi_sudden(x, s.time, s.k, CTX)) ** 2
+        return np.abs(psi_moving(x, s).psi) ** 2
+
+    @staticmethod
+    def outputs(x, s):
+        """Every wavefunction output on x, by name."""
+        wc = psi_moving(x, s)
         out = {f: getattr(wc, f) for f in ("m1", "m2", "m3", "m4", "prefactor", "psi")}
-        out["psi_sudden"] = psi_sudden(x, t, k, CTX)
+        out["psi_sudden"] = psi_sudden(x, s.time, s.k, CTX)
         return out
 
     def grid(self, n, v):
@@ -419,52 +438,79 @@ class TestBlockwiseBitwise:
     # at -0.4 and 0.999 psi on the wall is 0 - 0j, so the sign of zero is pinned too
     @pytest.mark.parametrize("ratio", [-0.4, 0.999, 1.3])
     @pytest.mark.parametrize("size", ["1", "2", "B-1", "B", "B+1", "2B+1", "200000"])
-    def test_blocked_equals_one_block(self, monkeypatch, ratio, size):
-        b = waves._BLOCK
+    def test_blocked_profile_equals_one_call(self, monkeypatch, ratio, size):
+        b = analysis._BLOCK
         n = {"B-1": b - 1, "B": b, "B+1": b + 1, "2B+1": 2 * b + 1}.get(size) or int(size)
-        v, t, k = ratio * self.VK, self.T, CTX.wavenumber(self.VK)
-        law = MirrorLaw.moving(v)
+        v = ratio * self.VK
         x = self.grid(n, v)
-        blocked = self.outputs(x, t, k, law)
+        # the static and sudden laws do not depend on v: run them once per size
+        laws = self.laws(v) if ratio == 1.3 else {"moving": self.laws(v)["moving"]}
+        blocked = {name: profile(s, x).densities for name, s in laws.items()}
         # B+1 and 2B+1 leave a one-point last block, where in-place
         # products would take numpy's scalar loop (specialfn._in_place)
-        monkeypatch.setattr(waves, "_BLOCK", n)
-        whole = self.outputs(x, t, k, law)
-        for name, ref in whole.items():
+        monkeypatch.setattr(analysis, "_BLOCK", n)
+        for name, s in laws.items():
+            ref = self.one_call(s, x)
             assert blocked[name].shape == ref.shape == (n,), name
             assert np.array_equal(bits(blocked[name]), bits(ref)), name
-        wall = x == v * t
-        assert wall.any() and np.all(blocked["psi"][wall] == 0.0)
+            assert np.array_equal(bits(profile(s, x).densities), bits(ref)), name
+        wall = x == v * self.T
+        assert wall.any() and np.all(blocked["moving"][wall] == 0.0)
 
     @pytest.mark.parametrize("block", [1, 2, 3])
-    def test_one_point_subsets_at_every_region_edge(self, monkeypatch, block):
-        # Blocks of 1-3 points leave one-point subsets in every w(z)
+    def test_one_point_slices_at_every_region_edge(self, monkeypatch, block):
+        # Slices of 1-3 points leave one-point subsets in every w(z)
         # region and in the u >= 0 plane-wave subset.  M(x, k) has
         # |z| = |x - v_k t| / scale, so s = (x - v_k t) / scale spans the
         # Maclaurin (|z| <= 1.8), Weideman and ray (|z| > 12) regions on
         # both signs of u, densely around |z| = 1.8 and 12; the
         # wavefunctions never reach the off-ray wofz region.
-        v, t, k = 0.5 * self.VK, self.T, CTX.wavenumber(self.VK)
+        v, t = 0.5 * self.VK, self.T
         scale = np.sqrt(2.0 * CTX.hbar * t / CTX.mass)
         edges = [e * (1.0 + np.linspace(-1e-3, 1e-3, 101)) for e in (-12.0, -1.8, 1.8, 12.0)]
         s = np.concatenate([np.linspace(-15.0, 15.0, 1201), *edges, [0.0]])
-        x = np.sort(self.VK * t + s * scale)
+        x = np.unique(self.VK * t + s * scale)  # strictly increasing, as profile needs
         x[np.argmin(np.abs(x - v * t))] = v * t
         z = np.abs(s)
         assert (z <= 1.8).sum() > 200 and ((z > 1.8) & (z <= 12.0)).sum() > 200
         assert (z > 12.0).sum() > 200 and (s < 0).sum() > 200 and (s > 0).sum() > 200
-        law = MirrorLaw.moving(v)
-        whole = self.outputs(x, t, k, law)
-        monkeypatch.setattr(waves, "_BLOCK", block)
-        blocked = self.outputs(x, t, k, law)
+        assert np.all(np.diff(x) > 0)
+        laws = self.laws(v)
+        # the property the blocks of profile rest on: a wavefunction on
+        # consecutive slices, concatenated, is the wavefunction on the grid
+        whole = self.outputs(x, laws["moving"])
+        parts = [self.outputs(x[lo : lo + block], laws["moving"]) for lo in range(0, x.size, block)]
         for name, ref in whole.items():
-            assert np.array_equal(bits(blocked[name]), bits(ref)), name
+            sliced = np.concatenate([p[name] for p in parts])
+            assert np.array_equal(bits(sliced), bits(ref)), name
+        monkeypatch.setattr(analysis, "_BLOCK", block)
+        for name, sc in laws.items():
+            ref = self.one_call(sc, x)
+            assert np.array_equal(bits(profile(sc, x).densities), bits(ref)), name
         # a 2-d grid comes back in its shape; scalars stay on the scalar path
-        wc = psi_moving(x[:1200].reshape(30, 40), Scenario(CTX, k, law, t))
+        wc = psi_moving(x[:1200].reshape(30, 40), laws["moving"])
         assert wc.psi.shape == (30, 40)
         assert np.array_equal(bits(wc.psi), bits(whole["psi"][:1200]))
-        assert type(psi_moving(float(x[0]), Scenario(CTX, k, law, t)).psi) is complex
-        assert type(psi_sudden(float(x[0]), t, k, CTX)) is complex
+        assert type(psi_moving(float(x[0]), laws["moving"]).psi) is complex
+        assert type(psi_sudden(float(x[0]), t, laws["sudden"].k, CTX)) is complex
+
+    @pytest.mark.parametrize("law", ["sudden", "moving"])
+    def test_profile_hands_no_wavefunction_more_than_a_block(self, monkeypatch, law):
+        # the block bound is what keeps a large profile's temporaries small
+        sizes = []
+
+        def recording(f):
+            def wrapped(x, *args):
+                sizes.append(np.size(x))
+                return f(x, *args)
+            return wrapped
+
+        monkeypatch.setattr(analysis, "psi_moving", recording(analysis.psi_moving))
+        monkeypatch.setattr(analysis, "psi_sudden", recording(analysis.psi_sudden))
+        n = 200_000
+        d = profile(self.laws(0.5 * self.VK)[law], self.grid(n, 0.5 * self.VK)).densities
+        assert d.shape == (n,) and sum(sizes) == n
+        assert max(sizes) <= analysis._BLOCK and len(sizes) == -(-n // analysis._BLOCK)
 
 
 class TestCriticalPoints:
