@@ -45,6 +45,8 @@ class DensityProfile:
             raise ValueError("profile grid must be non-empty")
         if not np.all(np.diff(xs) > 0):
             raise ValueError("xs must be strictly increasing")
+        if not np.all(np.isfinite(xs)):
+            raise ValueError("xs must be finite")
         if not np.all(d >= 0):
             raise ValueError("densities must be nonnegative")
         object.__setattr__(self, "xs", xs)

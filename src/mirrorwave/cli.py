@@ -147,10 +147,12 @@ def _format_rows(block: np.ndarray) -> str:
     return cells.tobytes().translate(None, b"\0").decode("ascii")
 
 
-def _write_table(path: str, command: str, params: dict, columns, rows) -> None:
-    """Write a manifest header and the rows as CSV, to ``path`` or stdout for "-".
+def _write_table(path: str, command: str, params: dict, table: dict) -> None:
+    """Write a manifest header and ``table`` as CSV, to ``path`` or stdout for "-".
 
-    Rows go out in blocks of _BLOCK_ROWS, and each cell reads exactly as
+    ``table`` maps each column name, in output order, to an equal-length 1-D
+    array.  Rows are stacked per block of _BLOCK_ROWS from the named columns,
+    so no full float table is built, and each cell reads exactly as
     f"{x:.12g}".  ``_format_rows`` builds that text with numpy: it rounds
     |x| * 10**(11 - X) to 12 digits, where X is the decimal exponent, and
     lays out sign, digits, point and exponent as the "%g" rules ask.  A
@@ -164,16 +166,19 @@ def _write_table(path: str, command: str, params: dict, columns, rows) -> None:
         f"# generated = {stamp}",
     ]
     head += [f"# {key} = {_fmt(value)}" for key, value in params.items()]
-    head.append(",".join(columns))
-    rows = np.asarray(rows, dtype=float)
+    head.append(",".join(table))
+    columns = list(table.values())
+    if len({len(c) for c in columns}) != 1:
+        raise ValueError("table columns must be equal-length")
     with nullcontext(sys.stdout) if path == "-" else open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(head) + "\n")
-        for start in range(0, len(rows), _BLOCK_ROWS):
-            fh.write(_format_rows(rows[start : start + _BLOCK_ROWS]))
+        for start in range(0, len(columns[0]), _BLOCK_ROWS):
+            block = np.column_stack([c[start : start + _BLOCK_ROWS] for c in columns])
+            fh.write(_format_rows(block.astype(float, copy=False)))
 
 
-def _component_columns(wc) -> list:
-    return [np.abs(wc.m1) ** 2, np.abs(wc.m2) ** 2, np.abs(wc.m3) ** 2, np.abs(wc.m4) ** 2]
+def _component_columns(wc) -> dict:
+    return {f"m{i}_abs2": np.abs(m) ** 2 for i, m in enumerate((wc.m1, wc.m2, wc.m3, wc.m4), 1)}
 
 
 def _count(text: str) -> int:
@@ -301,14 +306,13 @@ def cmd_profile(args) -> int:
     xs = _grid(args, s)
     params = _scenario_params(s)
     params["points"] = len(xs)
-    columns = ["x_um", "density"]
     if args.components:
         wc = psi_moving(xs, s)
-        columns += ["m1_abs2", "m2_abs2", "m3_abs2", "m4_abs2"]
-        cols = [from_si(xs, "um"), np.abs(wc.psi) ** 2, *_component_columns(wc)]
+        table = {"x_um": from_si(xs, "um"), "density": np.abs(wc.psi) ** 2}
+        table.update(_component_columns(wc))
     else:
-        cols = [from_si(xs, "um"), analysis.profile(s, xs).densities]
-    _write_table(args.out, "profile", params, columns, np.column_stack(cols))
+        table = {"x_um": from_si(xs, "um"), "density": analysis.profile(s, xs).densities}
+    _write_table(args.out, "profile", params, table)
     return 0
 
 
@@ -319,14 +323,8 @@ def cmd_components(args) -> int:
     params = _scenario_params(s)
     params["points"] = len(xs)
     params["note"] = "component densities are formal values, forbidden region included"
-    rows = np.column_stack([from_si(xs, "um"), *_component_columns(wc), np.abs(wc.psi) ** 2])
-    _write_table(
-        args.out,
-        "components",
-        params,
-        ["x_um", "m1_abs2", "m2_abs2", "m3_abs2", "m4_abs2", "density"],
-        rows,
-    )
+    table = {"x_um": from_si(xs, "um"), **_component_columns(wc), "density": np.abs(wc.psi) ** 2}
+    _write_table(args.out, "components", params, table)
     return 0
 
 
@@ -337,19 +335,19 @@ def cmd_cornu(args) -> int:
     from .specialfn import fresnel
 
     cc, ss = fresnel(theta)
-    rows = np.column_stack([theta, cc, ss, c(theta), s(theta)])
+    table = {
+        "theta": theta,
+        "C": cc,
+        "S": ss,
+        "density_enhanced": c(theta),
+        "density_ordinary": s(theta),
+    }
     params = {
         "theta_min": float(args.theta_min),
         "theta_max": float(args.theta_max),
         "points": args.points,
     }
-    _write_table(
-        args.out,
-        "cornu",
-        params,
-        ["theta", "C", "S", "density_enhanced", "density_ordinary"],
-        rows,
-    )
+    _write_table(args.out, "cornu", params, table)
     return 0
 
 
@@ -359,8 +357,7 @@ def cmd_visibility(args) -> int:
     ratios = np.linspace(args.ratio_min, args.ratio_max, args.ratio_points)
     ctx = _context(args)
     t = to_si(args.t, "ms")
-    columns = ["v_over_vk"]
-    data = [ratios]
+    table = {"v_over_vk": ratios}
     params: dict = {
         "species": args.species,
         "t_ms": float(args.t),
@@ -372,13 +369,10 @@ def cmd_visibility(args) -> int:
         template = Scenario(ctx, k, MirrorLaw.sudden_removal(), t)
         scan = analysis.enhancement_scan(ratios, template)
         tag = _fmt(vk_cm)
-        columns += [f"V_vk{tag}", f"Pmax_vk{tag}"]
-        data += [
-            np.array([p.visibility for p in scan]),
-            np.array([p.p_max for p in scan]),
-        ]
+        table[f"V_vk{tag}"] = np.array([p.visibility for p in scan])
+        table[f"Pmax_vk{tag}"] = np.array([p.p_max for p in scan])
         params[f"vk_cm_per_s_{tag}"] = vk_cm
-    _write_table(args.out, "visibility", params, columns, np.column_stack(data))
+    _write_table(args.out, "visibility", params, table)
     return 0
 
 
@@ -433,21 +427,13 @@ def cmd_oracle(args) -> int:
         "truncation_flagged", False
     )
     params["validation"] = "pass" if passed else "fail"
-    rows = np.column_stack(
-        [
-            from_si(oracle_prof.xs, "um"),
-            ana.densities,
-            oracle_prof.densities,
-            np.abs(ana.densities - oracle_prof.densities),
-        ]
-    )
-    _write_table(
-        args.out,
-        "oracle",
-        params,
-        ["x_um", "density_analytic", "density_oracle", "abs_error"],
-        rows,
-    )
+    table = {
+        "x_um": from_si(oracle_prof.xs, "um"),
+        "density_analytic": ana.densities,
+        "density_oracle": oracle_prof.densities,
+        "abs_error": np.abs(ana.densities - oracle_prof.densities),
+    }
+    _write_table(args.out, "oracle", params, table)
     print(rep.report)
     return 0 if passed else 2
 

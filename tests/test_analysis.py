@@ -43,8 +43,14 @@ class TestDensityProfile:
             DensityProfile(s, np.array([0.0, 1.0]), np.array([1.0, -0.5]))
         with pytest.raises(ValueError, match="nonnegative"):
             DensityProfile(s, np.array([0.0, 1.0]), np.array([np.nan, 1.0]))
+        static = Scenario(CTX, K1, MirrorLaw.static(), 0.0)
         with pytest.raises(ValueError, match="strictly increasing"):
-            profile(Scenario(CTX, K1, MirrorLaw.static(), 0.0), [-2e-6, np.nan, -1e-6])
+            profile(static, [-2e-6, np.nan, -1e-6])
+        with pytest.raises(ValueError, match="xs must be finite"):
+            DensityProfile(s, np.array([0.0, np.inf]), np.array([1.0, 1.0]))
+        for xs in ([-1e-6, np.inf], [-np.inf, -1e-6]):
+            with pytest.raises(ValueError, match="xs must be finite"):
+                profile(static, xs)
         for xs in (1e-6, np.zeros((2, 2))):
             with pytest.raises(ValueError, match="matching 1-D arrays"):
                 profile(s, xs)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -102,9 +104,12 @@ class TestWriteTable:
         doubles = bits.view(np.float64)
         rows = np.vstack([rows, doubles[np.isfinite(doubles)][:3600].reshape(-1, 4)])
         out = tmp_path / "t.csv"
-        _write_table(str(out), "test", {"x": 0.5}, ["a", "b", "c", "d"], rows)
+        names = ["d", "a", "c", "b"]  # not sorted: the header keeps insertion order
+        _write_table(str(out), "test", {"x": 0.5}, dict(zip(names, rows.T)))
         expected = [",".join(f"{v:.12g}" for v in row) for row in rows.tolist()] + [""]
         assert self.data_lines(out) == expected
+        header = [l for l in out.read_text().split("\n") if not l.startswith("#")][0]
+        assert header == "d,a,c,b"
 
     def test_sweep_matches_per_cell_format(self, tmp_path):
         # ~1.0e6 cells that stress the numpy path: its exponent range, rounding
@@ -152,7 +157,7 @@ class TestWriteTable:
         rows = np.resize(cells, (-(-cells.size // 6), 6))
         assert rows.size >= 1_000_000
         out = tmp_path / "sweep.csv"
-        _write_table(str(out), "test", {}, list("abcdef"), rows)
+        _write_table(str(out), "test", {}, dict(zip("abcdef", rows.T)))
         template = ",".join(["{:.12g}"] * 6)  # f"{v:.12g}" for each cell v of a row
         expected = [template.format(*row) for row in rows.tolist()] + [""]
         assert self.data_lines(out) == expected
@@ -164,7 +169,7 @@ class TestWriteTable:
         log10 = np.log10
         monkeypatch.setattr(np, "log10", lambda a: log10(a) + miss)
         out = tmp_path / "m.csv"
-        _write_table(str(out), "test", {}, ["a", "b", "c", "d"], rows)
+        _write_table(str(out), "test", {}, dict(zip("abcd", rows.T)))
         expected = [",".join(f"{v:.12g}" for v in row) for row in rows.tolist()] + [""]
         assert self.data_lines(out) == expected
 
@@ -172,12 +177,30 @@ class TestWriteTable:
     def test_row_count_across_block_edges(self, tmp_path, n):
         out = tmp_path / "n.csv"
         rows = np.column_stack([np.arange(n, dtype=float), -np.arange(n, dtype=float)])
-        _write_table(str(out), "test", {}, ["i", "minus_i"], rows)
+        _write_table(str(out), "test", {}, dict(zip(["i", "minus_i"], rows.T)))
         text = out.read_text()
         assert text.endswith("\n") and "\n\n" not in text
         lines = self.data_lines(out)
         assert lines[-1] == "" and len(lines) == n + 1
         assert lines[0] == "0,-0" and lines[n - 1] == f"{n - 1},-{n - 1}"
+
+    def test_unequal_columns_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="equal-length"):
+            _write_table(str(tmp_path / "u.csv"), "test", {}, {"a": np.zeros(3), "b": np.zeros(2)})
+
+    def test_no_full_table_in_memory(self, tmp_path):
+        # the rows are stacked per block, so the traced peak stays far below
+        # the 18.3 MiB of a stacked 4e5 x 6 table, whatever the row count
+        n = 400_000
+        table = {name: np.linspace(0.0, 1.0 + j, n) for j, name in enumerate("abcdef")}
+        table_bytes = sum(c.nbytes for c in table.values())
+        tracemalloc.start()
+        try:
+            _write_table(str(tmp_path / "big.csv"), "test", {}, table)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < table_bytes / 2
 
     def test_stdout_matches_file(self, tmp_path, capsys):
         out = tmp_path / "p.csv"
