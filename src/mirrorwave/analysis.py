@@ -28,6 +28,21 @@ class AnalysisError(RuntimeError):
     """Raised when a profile carries no resolvable fringe structure."""
 
 
+def _grid(xs) -> np.ndarray:
+    """xs as floats, checked to be a non-empty, strictly increasing, finite 1-D grid."""
+    xs = np.asarray(xs, dtype=float)
+    if xs.ndim != 1:
+        raise ValueError("xs and densities must be matching 1-D arrays")
+    if xs.size == 0:
+        raise ValueError("profile grid must be non-empty")
+    # compared, not differenced: inf - inf would warn before the check raises
+    if not np.all(xs[1:] > xs[:-1]):
+        raise ValueError("xs must be strictly increasing")
+    if not np.all(np.isfinite(xs)):
+        raise ValueError("xs must be finite")
+    return xs
+
+
 @dataclass(frozen=True)
 class DensityProfile:
     """Densities |psi|**2 sampled on a strictly increasing grid."""
@@ -37,16 +52,10 @@ class DensityProfile:
     densities: np.ndarray
 
     def __post_init__(self):
-        xs = np.asarray(self.xs, dtype=float)
+        xs = _grid(self.xs)
         d = np.asarray(self.densities, dtype=float)
-        if xs.ndim != 1 or d.shape != xs.shape:
+        if d.shape != xs.shape:
             raise ValueError("xs and densities must be matching 1-D arrays")
-        if xs.size == 0:
-            raise ValueError("profile grid must be non-empty")
-        if not np.all(np.diff(xs) > 0):
-            raise ValueError("xs must be strictly increasing")
-        if not np.all(np.isfinite(xs)):
-            raise ValueError("xs must be finite")
         if not np.all(d >= 0):
             raise ValueError("densities must be nonnegative")
         object.__setattr__(self, "xs", xs)
@@ -95,17 +104,16 @@ def profile(scenario: Scenario, xs) -> DensityProfile:
     """Evaluate |psi|**2 for the scenario's mirror law on the given grid.
 
     The forbidden region beyond a moving mirror reports density zero.
+    The grid passes ``DensityProfile``'s checks before any evaluation.
     The wavefunction runs over consecutive blocks of ``_BLOCK`` points, whose
     ~20 temporaries stay in L2 over every pass of the w(z) series, and only
     |psi|**2 of a block is kept; the wavefunctions are elementwise, so the
     densities do not depend on ``_BLOCK``.
     """
-    xs = np.asarray(xs, dtype=float)
+    xs = _grid(xs)
     dens = np.empty(xs.shape)
-    # flat views, so a grid of the wrong shape reaches DensityProfile's check
-    x_flat, d_flat = xs.reshape(-1), dens.reshape(-1)
     for lo in range(0, xs.size, _BLOCK):
-        d_flat[lo : lo + _BLOCK] = np.abs(_psi(scenario, x_flat[lo : lo + _BLOCK])) ** 2
+        dens[lo : lo + _BLOCK] = np.abs(_psi(scenario, xs[lo : lo + _BLOCK])) ** 2
     return DensityProfile(scenario, xs, dens)
 
 

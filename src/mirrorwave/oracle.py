@@ -78,7 +78,8 @@ _BLOCK_SIZE = 1 << 16
 _MAX_PANELS = 1 << 27
 # the most grid intervals a grid run may take: default configurations need
 # at most 2**22 over v_k 0.1-1 cm/s, t 1-100 ms and v <= 1.5 v_k (2**24 at
-# v = 3 v_k, t 100 ms); a run holds ~91 bytes per interval, ~1.5 GB here
+# v = 3 v_k, t 100 ms, and 3 * 2**23 past the cap at v = 3.5 v_k); a run
+# holds ~90 bytes per interval, ~1.5 GB at the cap
 _MAX_GRID_POINTS = 1 << 24
 
 
@@ -229,7 +230,13 @@ def default_config(scenario: Scenario, comparison_window: tuple | None = None) -
     reach = max(5.0 * (v_k + abs(v)), abs(v) + v_front) * t
     big_l = abs(x_lo) + reach + 40.0 * spread
     k_occ = scenario.k + beta + 10.0 / spread
-    n = 1 << max(int(big_l * 6.0 * k_occ / np.pi).bit_length(), 10)
+    # N is the smallest 2**j or 3 * 2**j above the resolution floor, and at
+    # least 1024: a type-I DST of N intervals runs as an FFT of length 2N,
+    # and two lengths per octave cut the overshoot from up to 2x to 1.5x
+    floor = int(big_l * 6.0 * k_occ / np.pi)
+    n = 1 << max(floor.bit_length(), 10)
+    if 3 * (n >> 2) > max(floor, 1023):
+        n = 3 * (n >> 2)
     # the quadrature tail beyond -W is completed exactly, so W needs no
     # decay margin; it places every window point's stationary points inside
     # the panel-summed support [-W, 0], with 60 spreads to spare

@@ -1,6 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
+from mirrorwave import analysis
 from mirrorwave.analysis import (
     AnalysisError,
     DensityProfile,
@@ -54,6 +57,25 @@ class TestDensityProfile:
         for xs in (1e-6, np.zeros((2, 2))):
             with pytest.raises(ValueError, match="matching 1-D arrays"):
                 profile(s, xs)
+
+    def test_grid_checked_before_evaluation(self, monkeypatch):
+        # a bad grid raises its ValueError before any wavefunction runs and
+        # without a numpy warning
+        def spy(*args):
+            raise AssertionError("wavefunction ran")
+
+        monkeypatch.setattr(analysis, "_psi", spy)
+        static = Scenario(CTX, K1, MirrorLaw.static(), 0.0)
+        bad = {
+            "xs must be finite": ([-1e-6, np.inf], [-np.inf, -1e-6]),
+            "strictly increasing": ([np.inf, np.inf], [-2e-6, np.nan, -1e-6]),
+        }
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for message, grids in bad.items():
+                for xs in grids:
+                    with pytest.raises(ValueError, match=message):
+                        profile(static, xs)
 
     def test_profile_static(self):
         s = Scenario(CTX, K1, MirrorLaw.static(), 0.0)

@@ -380,13 +380,14 @@ class TestOracleCommand:
         assert int(manifest["grid_points"]) == 32768
 
     def test_default_grid_past_cap_names_quadrature(self, tmp_path, capsys):
-        # default_config sizes N = 2**25 here, past the grid cap; a smaller
-        # N would under-resolve the beam, so the message names the other oracle
+        # default_config sizes N = 3 * 2**23 here, past the 2**24 grid cap; a
+        # smaller N would under-resolve the beam, so the message names the
+        # other oracle
         out = tmp_path / "cap.csv"
         argv = "oracle --vk 1.0 --v 3.5 --t 100 --oracle grid --tolerance 1e-3 --out".split()
         assert main(argv + [str(out)]) == 1
         err = capsys.readouterr().err
-        assert "grid_points N = 33554432" in err
+        assert "grid_points N = 25165824" in err
         assert "--grid-points" in err and "--oracle quadrature" in err
         assert not out.exists()
 

@@ -171,6 +171,50 @@ class TestGridOracle:
         prof = evolve_grid(s, default_config(s))
         assert compare(prof, profile(s, prof.xs)).max_abs_err <= 1e-3
 
+    def test_default_length_rule(self):
+        # N is the smallest 2**j or 3 * 2**j above the resolution floor
+        # int(6 L k_occ / pi), and at least 1024, over the figure region
+        rng = np.random.default_rng(2007)
+        for _ in range(300):
+            v_k = rng.uniform(0.001, 0.01)
+            t = 10.0 ** rng.uniform(-3.0, -1.0)
+            ratio = rng.uniform(-0.45, 1.5)
+            v = 0.0 if rng.random() < 0.2 else ratio * v_k
+            law = MirrorLaw.static() if v == 0.0 else MirrorLaw.moving(v)
+            s = Scenario(CTX, CTX.wavenumber(v_k), law, t)
+            cfg = default_config(s)
+            spread = np.sqrt(CTX.hbar * t / CTX.mass)
+            k_occ = s.k + abs(CTX.wavenumber(v)) + 10.0 / spread
+            floor = int(cfg.domain_length * 6.0 * k_occ / np.pi)
+            n = cfg.grid_points
+            odd = n // 3 if n % 3 == 0 else n
+            assert odd & (odd - 1) == 0, (n, v_k, v, t)
+            assert n >= 1024 and n > floor, (n, floor)
+            assert n <= 1.5 * (floor + 1), (n, floor)
+
+    @pytest.mark.parametrize(
+        "law, t, window",
+        [
+            (MirrorLaw.moving(0.005), 5e-3, None),
+            (MirrorLaw.moving(-0.004), 6e-3, None),
+            (MirrorLaw.moving(0.013), 5e-3, None),
+            (MirrorLaw.static(), 6e-3, None),
+            (MirrorLaw.moving(0.008), 10e-3, (-50e-6, 0.008 * 10e-3)),
+        ],
+        ids=["receding", "approaching", "fast", "static", "c06"],
+    )
+    def test_default_grid_resolves_window(self, law, t, window):
+        # doubling the default N moves no window density by more than 1e-5
+        # (3.3e-6 at most on these cases); the fine grid holds every coarse
+        # grid point exactly, since dy halves exactly
+        s = Scenario(CTX, K1, law, t)
+        cfg = default_config(s, comparison_window=window)
+        coarse = evolve_grid(s, cfg)
+        fine = evolve_grid(s, replace(cfg, grid_points=2 * cfg.grid_points))
+        idx = np.searchsorted(fine.xs, coarse.xs)
+        assert np.array_equal(fine.xs[idx], coarse.xs)
+        assert np.abs(fine.densities[idx] - coarse.densities).max() <= 1e-5
+
     @pytest.mark.parametrize("n", [oracle._MAX_GRID_POINTS + 1, 1 << 40])
     def test_oversized_grid_rejected_before_allocation(self, monkeypatch, n):
         s = Scenario(CTX, K1, MirrorLaw.static(), 2e-3)
