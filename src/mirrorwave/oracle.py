@@ -25,13 +25,14 @@ Two oracles, deliberately different from the closed-form route:
     Direct panel quadrature of the superposition integral over the
     truncated initial support [-W, 0] with the free or moving-wall
     propagator.  Panels are equal and sized so the integrand phase varies
-    at most pi/2 per panel (Gauss-Legendre, 8 nodes, which integrates
-    e^{i w s} over such a panel to a relative 1.6e-16, against 1.6e-17
-    at pi/4 and 3.2e-15 at pi).  The integrand is
-    factored once (``_Kernel``) into a row phase, exponentials
+    at most 4 pi per panel (Gauss-Legendre, 16 nodes, which integrates
+    e^{i w s} over such a panel to 3.6e-20 of the panel mass in exact
+    arithmetic, against 1e-29 at 2 pi and 1.1e-14 at 6 pi; 8 nodes on
+    panels of pi/2 err 2.3e-20 with four times the nodes).  The integrand
+    is factored once (``_Kernel``) into a row phase, exponentials
     e^{+-2i alpha z x'} of the mirror-frame point z = x - v t, and a
     column phase.  The panel sum splits every node into the left edge of
-    its group of 32 panels plus an offset within the group, and each phase
+    its group of 16 panels plus an offset within the group, and each phase
     into the matching two parts (two-level angle addition), so it
     evaluates trig per (point, group) and per (point, offset) but none per
     (point, node); the rest is real matrix products over cache-sized
@@ -61,21 +62,22 @@ import numpy as np
 from scipy.fft import dst, idst
 from scipy.special import wofz
 
-from .analysis import DensityProfile
+from .analysis import DensityProfile, _grid
 from .physics import MirrorKind, Scenario
 from .waves import _boost, _chirp, initial_state, stream_regions
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 # the panel sum takes the panels in groups of _GROUP (256 nodes), so its
 # trig runs per (point, group) and per (point, node offset in a group)
-_GROUP = 32
+_GROUP = 16
 # the panel sum works through blocks of rows and groups in work buffers of
 # at most _BLOCK_SIZE doubles (512 KiB) each, small enough to stay in a
 # core's L2 cache, so its work memory does not grow with the panel count
 _BLOCK_SIZE = 1 << 16
-# the most panels a quadrature run may take: default configurations need at
-# most ~1.3e6 (v_k 1 cm/s, v 3 cm/s, t 100 ms), so this leaves ~100x headroom
-_MAX_PANELS = 1 << 27
+# the most panels a quadrature run may take (2**30 nodes): default
+# configurations need at most ~1.6e5 (v_k 1 cm/s, v 3 cm/s, t 100 ms), so
+# this leaves ~400x headroom
+_MAX_PANELS = 1 << 26
 # the most grid intervals a grid run may take: default configurations need
 # at most 2**22 over v_k 0.1-1 cm/s, t 1-100 ms and v <= 1.5 v_k (2**24 at
 # v = 3 v_k, t 100 ms, and 3 * 2**23 past the cap at v = 3.5 v_k); a run
@@ -397,7 +399,7 @@ def _tail(alpha, kappa, b):
 def _panel_sum(kern: _Kernel, w_len: float, n_panels: int):
     """Gauss-Legendre sum of the superposition integral over [-W, 0].
 
-    The support is cut into ``n_panels`` equal panels of 8 nodes each.
+    The support is cut into ``n_panels`` equal panels of 16 nodes each.
     sum_s a_s e^{i s theta} = (sum_s a_s) cos(theta) + i (sum_s s a_s) sin(theta)
     with theta = 2 alpha z_i x', applied to the column factors
     w e^{i(alpha x'^2 - beta x')} 2i sin(k x').  Two-level angle addition
@@ -488,15 +490,17 @@ def evolve_quadrature(
 ) -> QuadratureResult:
     """Superposition-integral oracle on the truncated support [-W, 0].
 
-    Panel Gauss-Legendre quadrature with at most pi/2 of phase variation
-    per panel (8 nodes, relative error 1.6e-16 on e^{i w s} there) plus
-    the exact completion of the tail beyond -W, both read from one
-    factorization of the integrand (``_Kernel``).  The reported per-point
-    estimate bounds the rounding of both parts; points whose estimate
-    exceeds ``tolerance`` flag the result.  Points beyond a static or
-    moving mirror (past the slack ``validate_config`` also allows) and a
-    support W that would need more than ``_MAX_PANELS`` panels raise
-    ``OracleConfigError``.
+    Panel Gauss-Legendre quadrature with at most 4 pi of phase variation
+    per panel (16 nodes, error 3.6e-20 of the panel mass on e^{i w s}
+    there in exact arithmetic) plus the exact completion of the tail
+    beyond -W, both read from one factorization of the integrand
+    (``_Kernel``).  The reported per-point estimate bounds the rounding of
+    both parts; points whose estimate exceeds ``tolerance`` flag the
+    result.  An empty ``xs``, points beyond a static or moving mirror
+    (past the slack ``validate_config`` also allows) and a support W that
+    would need more than ``_MAX_PANELS`` panels raise ``OracleConfigError``;
+    an ``xs`` that is not a strictly increasing, finite 1-D grid raises the
+    ``ValueError`` of ``DensityProfile``, before any quadrature work.
     """
     if scenario.time <= 0:
         raise OracleConfigError("oracle evolution requires scenario.time > 0")
@@ -507,7 +511,7 @@ def evolve_quadrature(
     xs = np.asarray(xs, dtype=float)
     if xs.size == 0:
         raise OracleConfigError("the evaluation grid xs is empty")
-
+    xs = _grid(xs)
     _check_wall(scenario, float(np.max(xs)), "evaluation points lie")
 
     # panel quadrature over the truncated support [-W, 0]
@@ -516,7 +520,7 @@ def evolve_quadrature(
     max_off = float(np.max(np.abs(xs))) + abs(kern.v) * t
     kap_max = k + abs(beta)
     dphi_max = 2.0 * alpha * (max_off + w_len) + kap_max
-    h = (np.pi / 2.0) / dphi_max
+    h = (4.0 * np.pi) / dphi_max
     panels = w_len / h
     if panels > _MAX_PANELS:
         raise OracleConfigError(
@@ -528,11 +532,11 @@ def evolve_quadrature(
 
     # round-off floor of the panel sum: it assembles each node's phase
     # from per-group parts, whose magnitudes add up to at most
-    # alpha*(|x|+W)**2 + kappa*W radians, and per-offset parts of a few
-    # tens of radians; each part carries a rounding error of order eps
-    # times its own magnitude, so a node's phase error stays within
-    # about eps times that bound, as when the phase was formed per node,
-    # and maps into amplitude error
+    # alpha*(|x|+W)**2 + kappa*W radians, and per-offset parts of at most
+    # the 64 pi (~200) radians a group spans; each part carries a rounding
+    # error of order eps times its own magnitude, so a node's phase error
+    # stays within about eps times that bound, as when the phase was formed
+    # per node, and maps into amplitude error
     phase_max = alpha * (max_off + w_len) ** 2 + kap_max * w_len
     abs_kernel_mass = 2.0 * np.sqrt(m / (2.0 * np.pi * hbar * t)) * w_len
     n_terms = 2 * len(kern.modes)

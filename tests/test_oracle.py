@@ -1,4 +1,6 @@
+import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -27,12 +29,11 @@ K1 = CTX.wavenumber(0.01)
 
 
 def _gl_panels(w_len, n_panels):
-    """Nodes and weights of 8-point Gauss-Legendre on n_panels equal panels of [-W, 0]."""
-    gl_nodes, gl_weights = np.polynomial.legendre.leggauss(8)
+    """The oracle's Gauss-Legendre nodes and weights on n_panels equal panels of [-W, 0]."""
     halfw = 0.5 * w_len / n_panels
     mid = -w_len + halfw * (2.0 * np.arange(n_panels) + 1.0)
-    nodes = (mid[:, None] + halfw * gl_nodes[None, :]).ravel()
-    return nodes, np.tile(halfw * gl_weights, n_panels)
+    nodes = (mid[:, None] + halfw * oracle._GL_NODES[None, :]).ravel()
+    return nodes, np.tile(halfw * oracle._GL_WEIGHTS, n_panels)
 
 
 class TestConfigGuards:
@@ -302,7 +303,7 @@ class TestQuadratureOracle:
         ids=["receding", "approaching", "sudden"],
     )
     def test_factored_kernel_matches_unfactored(self, law):
-        # 2500 panels = 78 groups of 32 and a partial group of 4
+        # 2500 panels = 156 groups of 16 and a partial group of 4
         t = 5e-3
         s = Scenario(CTX, K1, law, t)
         w_len = default_config(s).truncation_window
@@ -321,9 +322,10 @@ class TestQuadratureOracle:
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_blocked_panel_sum_matches_single_block(self, monkeypatch):
-        # 41 rows x 250 panels (7 groups of 32 and a partial group of 26)
+        # 41 rows x 250 panels (15 groups of 16 and a partial group of 10)
         # fit one default block; buffers of 1536 doubles hold 3 rows x 3
-        # groups, which leaves ragged last blocks in both directions
+        # groups, which leaves ragged last blocks in both directions (41
+        # rows = 13 x 3 + 2, 16 groups = 5 x 3 + 1)
         t = 5e-3
         s = Scenario(CTX, K1, MirrorLaw.moving(0.005), t)
         w_len = default_config(s).truncation_window
@@ -453,8 +455,9 @@ class TestQuadratureOracle:
         ids=["receding", "approaching", "fast", "static", "sudden"],
     )
     def test_panel_budget_converged(self, law, monkeypatch):
-        # the panel count evolve_quadrature picks (pi/2 of phase per panel)
-        # agrees with twice as many panels to round-off
+        # evolve_quadrature takes panels of 4 pi of phase at the largest
+        # phase rate 2 alpha (max|x| + |v| t + W) + k + |beta|, and that
+        # count agrees with twice as many panels to round-off
         t = 5e-3
         s = Scenario(CTX, K1, law, t)
         cfg = default_config(s)
@@ -468,13 +471,58 @@ class TestQuadratureOracle:
         monkeypatch.setattr(oracle, "_panel_sum", spy)
         evolve_quadrature(s, cfg, xs)
         (kern, w_len, n_panels), = calls
+        v = law.velocity if law.kind is MirrorKind.MOVING else 0.0
+        alpha = CTX.mass / (2.0 * CTX.hbar * t)
+        dphi_max = (
+            2.0 * alpha * (np.abs(xs).max() + abs(v) * t + w_len)
+            + K1
+            + abs(CTX.wavenumber(v))
+        )
+        assert w_len == cfg.truncation_window
+        assert n_panels == math.ceil(w_len * dphi_max / (4.0 * np.pi))
         coarse = _panel_sum(kern, w_len, n_panels)
         fine = _panel_sum(kern, w_len, 2 * n_panels)
         assert np.abs(coarse - fine).max() <= 1e-11 * np.abs(coarse).max()
 
+    def test_rule_integrates_a_panel_of_4pi(self):
+        # one panel [-1, 1] over which the phase a s + phi turns by up to
+        # 4 pi: the rule matches the exact integral 2 cos(phi) sin(a) / a
+        # to 1e-15 of the panel mass 2 (6.1e-16 at most on these cases)
+        for a in np.linspace(0.25, 2.0, 8) * np.pi:
+            for phi in np.linspace(0.0, 2.0 * np.pi, 13):
+                got = oracle._GL_WEIGHTS @ np.cos(a * oracle._GL_NODES + phi)
+                want = 2.0 * math.cos(phi) * math.sin(a) / a
+                assert abs(got - want) <= 1e-15 * 2.0, (a, phi)
+
+    @pytest.mark.parametrize(
+        "xs, match",
+        [
+            ([np.nan], "finite"),
+            ([-np.inf, -1e-6], "finite"),
+            ([-1e-6, -2e-6, -3e-6], "strictly increasing"),
+            ([-2e-6, -1e-6, -1e-6], "strictly increasing"),
+            ([[-2e-6, -1e-6], [-1e-6, 0.0]], "1-D"),
+        ],
+        ids=["nan", "-inf", "unsorted", "repeated", "2-D"],
+    )
+    def test_bad_grid_rejected_before_panel_sum(self, monkeypatch, xs, match):
+        # the grid check of analysis.profile and DensityProfile runs first:
+        # no numpy warning and no panel sum before the ValueError
+        s = Scenario(CTX, K1, MirrorLaw.static(), 2e-3)
+        cfg = default_config(s)
+
+        def spy(*args):
+            raise AssertionError("_panel_sum ran")
+
+        monkeypatch.setattr(oracle, "_panel_sum", spy)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=match):
+                evolve_quadrature(s, cfg, np.array(xs))
+
     @pytest.mark.parametrize("w_len", [1.0, 1e200])
     def test_oversized_support_rejected_before_panel_sum(self, monkeypatch, w_len):
-        # W = 1 m would need ~4.4e11 panels, and W = 1e200 m an infinite count
+        # W = 1 m would need ~5.5e10 panels, and W = 1e200 m an infinite count
         s = Scenario(CTX, K1, MirrorLaw.static(), 2e-3)
         cfg = replace(default_config(s), truncation_window=w_len)
 
