@@ -141,8 +141,8 @@ def _check_wall(scenario: Scenario, x: float, what: str) -> None:
             raise OracleConfigError(f"{what} beyond the mirror position {wall:.6g} m")
 
 
-def _occupied_omega(scenario: Scenario, v: float) -> float:
-    """Largest kinetic angular frequency carried by the beam in the wall frame.
+def _occupied(scenario: Scenario, v: float) -> tuple[float, float]:
+    """Largest wavenumber k_max carried by the beam in the wall frame, and hbar k_max^2 / 2m.
 
     The standing wave maps to wavenumbers k - mv/hbar and -(k + mv/hbar);
     a spread margin of 10 sqrt(m / hbar t) covers the transient edge
@@ -152,7 +152,13 @@ def _occupied_omega(scenario: Scenario, v: float) -> float:
     k_max = scenario.k + abs(ctx.wavenumber(v)) + 10.0 / math.sqrt(
         ctx.hbar * scenario.time / ctx.mass
     )
-    return ctx.hbar * k_max * k_max / (2.0 * ctx.mass)
+    return k_max, ctx.hbar * k_max * k_max / (2.0 * ctx.mass)
+
+
+def _steps(t: float, time_step: float) -> tuple[int, float]:
+    """The run's Crank-Nicolson steps: n = ceil(t / time_step), at least 1, of t / n each."""
+    n = max(math.ceil(t / time_step), 1)
+    return n, t / n
 
 
 def validate_config(scenario: Scenario, config: OracleConfig) -> None:
@@ -173,7 +179,7 @@ def validate_config(scenario: Scenario, config: OracleConfig) -> None:
             f"(got {config.domain_length:.6g})"
         )
     _check_wall(scenario, x_hi, "comparison window extends")
-    omega = _occupied_omega(scenario, v)
+    omega = _occupied(scenario, v)[1]
     if config.time_step * omega >= 0.1:
         raise OracleConfigError(
             "time step too coarse: dt * (max kinetic phase rate) must stay "
@@ -220,18 +226,18 @@ def default_config(scenario: Scenario, comparison_window: tuple | None = None) -
         amp_fast = min(1.0, 1.0 / (2.0 * math.sqrt(np.pi) * z_tail))
     phase_budget = min(5e-3, max(2.5e-4, 1e-3 / (4.0 * amp_fast)))
     dt_budget = math.sqrt(12.0 * phase_budget / (t * omega**3)) if omega > 0 else t
-    dt = min(dt_budget, 0.05 / _occupied_omega(scenario, v), t)
+    k_occ, omega_occ = _occupied(scenario, v)
+    dt = min(dt_budget, 0.05 / omega_occ, t)
     # the artificial far edge sheds an algebraically decaying wave (the
     # initial state's curvature jump there); five ballistic reaches keep
     # its residue well below the 1e-3 comparison scale.  Its high-q part
     # travels at the Crank-Nicolson group velocity, which peaks at
     # 3**0.75 / 2 * sqrt(hbar / (m dt)) and piles up into a caustic front
     # there; the domain must also keep that front out of the window.
-    dt_run = t / math.ceil(t / dt)
+    dt_run = _steps(t, dt)[1]
     v_front = 0.5 * 3.0**0.75 * math.sqrt(ctx.hbar / (ctx.mass * dt_run))
     reach = max(5.0 * (v_k + abs(v)), abs(v) + v_front) * t
     big_l = abs(x_lo) + reach + 40.0 * spread
-    k_occ = scenario.k + beta + 10.0 / spread
     # N is the smallest 2**j or 3 * 2**j above the resolution floor, and at
     # least 1024: a type-I DST of N intervals runs as an FFT of length 2N,
     # and two lengths per octave cut the overshoot from up to 2x to 1.5x
@@ -295,8 +301,7 @@ def evolve_grid(scenario: Scenario, config: OracleConfig) -> DensityProfile:
 
     q = np.pi * np.arange(1, n) / big_l
     omega = hbar * q * q / (2.0 * m)
-    n_steps = max(int(math.ceil(t / config.time_step)), 1)
-    dt = t / n_steps
+    n_steps, dt = _steps(t, config.time_step)
     # (1 - i w dt/2) / (1 + i w dt/2) = exp(-2i atan(w dt/2)), so n steps
     # multiply each mode by exp(-2i n atan(w dt/2))
     coef *= np.exp(-2j * n_steps * np.arctan(0.5 * omega * dt))

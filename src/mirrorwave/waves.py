@@ -37,11 +37,15 @@ Each wavefunction is one straight-line call over the whole of x.  Every
 operation is elementwise and keeps its operand order, so an element
 rounds alike in a call on any subset of the grid; ``analysis.profile``
 relies on this when it evaluates |psi|**2 over cache-sized blocks.
+A scalar x runs as a one-point array, unwrapped once to a Python complex,
+so it returns exactly the element of an array call (there is no 0-d path:
+numpy's scalar arithmetic rounds complex products differently).
 
 The functions that take a ``Scenario`` read the evaluation time from
 ``scenario.time``, the wall from ``scenario.mirror_position`` and the
-beam front from ``scenario.front``.  All functions are pure, accept
-scalars or numpy arrays for x, and may be called concurrently.
+beam front from ``scenario.front``; ``_mirror_frame`` forms the mirror
+frame of ``psi_moving`` and ``psi_near_limit``.  All functions are pure,
+accept scalars or numpy arrays for x, and may be called concurrently.
 """
 
 from __future__ import annotations
@@ -79,9 +83,8 @@ def _chirp(x, t: float, context: PhysicalContext):
 def _moshinsky(x, k, t: float, context: PhysicalContext, chirp):
     """M(x, k, t) given ``chirp`` = _chirp(x, t); the single definition of M.
 
-    The result has the broadcast shape of x and k, a numpy scalar when
-    both are 0-d (scalar and array arithmetic round complex products
-    differently, so a 0-d input stays on the scalar path).
+    x is an array (a scalar reaches here as a one-point array), and the
+    result is an array of the broadcast shape of x and k.
     """
     hbar, m = context.hbar, context.mass
     u = k - m * x / (hbar * t)
@@ -89,8 +92,8 @@ def _moshinsky(x, k, t: float, context: PhysicalContext, chirp):
     # where it is well conditioned; the lower-half reflection term is
     # folded into the closed-form plane wave, formed only where u >= 0.
     z_ray = 0.5 * (1.0 + 1j) * np.sqrt(hbar * t / m) * np.abs(u)
-    val = np.atleast_1d(0.5 * chirp * faddeeva(z_ray))
-    lit = np.atleast_1d(u >= 0.0)
+    val = 0.5 * chirp * faddeeva(z_ray)
+    lit = u >= 0.0
     x_ld = np.broadcast_to(x, lit.shape)[lit].astype(np.longdouble)
     if np.ndim(k) == 0:  # the same long-double operations, on a scalar k
         k_ld = np.longdouble(k)
@@ -99,26 +102,30 @@ def _moshinsky(x, k, t: float, context: PhysicalContext, chirp):
     hbar_ld, m_ld = np.longdouble(hbar), np.longdouble(m)
     phi_plane = k_ld * x_ld - hbar_ld * k_ld * k_ld * np.longdouble(t) / (2.0 * m_ld)
     val[lit] = cis(phi_plane) - val[lit]
-    return val.reshape(np.shape(u))[()]
+    return val
+
+
+def _unwrap(val, *inputs):
+    """A one-point result as a Python complex if every input was a scalar, else as is."""
+    return complex(val[0]) if all(np.ndim(a) == 0 for a in inputs) else val
 
 
 def moshinsky_m(x, k, t: float, context: PhysicalContext):
     """Moshinsky function M(x, k, t); finite for all finite inputs, t > 0."""
     if not t > 0.0:
         raise ValueError("moshinsky_m requires t > 0")
-    xa = np.asarray(x, dtype=float)
+    xa = np.atleast_1d(np.asarray(x, dtype=float))
     val = _moshinsky(xa, np.asarray(k, dtype=float), t, context, _chirp(xa, t, context))
-    return complex(val) if val.ndim == 0 else val
+    return _unwrap(val, x, k)
 
 
 def psi_sudden(x, t: float, k: float, context: PhysicalContext):
     """Beam released by instantaneous mirror removal: M(x,k,t) - M(x,-k,t)."""
     if not t > 0.0:
         raise ValueError("psi_sudden requires t > 0")
-    xa = np.asarray(x, dtype=float)
+    xa = np.atleast_1d(np.asarray(x, dtype=float))
     chirp = _chirp(xa, t, context)
-    val = _moshinsky(xa, k, t, context, chirp) - _moshinsky(xa, -k, t, context, chirp)
-    return complex(val) if val.ndim == 0 else val
+    return _unwrap(_moshinsky(xa, k, t, context, chirp) - _moshinsky(xa, -k, t, context, chirp), x)
 
 
 def _boost(x, t: float, v: float, context: PhysicalContext):
@@ -206,6 +213,19 @@ def stream_regions(scenario: Scenario) -> tuple[tuple[float, ...], tuple[int, ..
     return (cp.x_plus, (2.0 * v + v_k) * scenario.time, cp.x_mirror), (2, 3, 4, 0)
 
 
+def _mirror_frame(x, scenario: Scenario, name: str):
+    """The mirror frame of x as an array: y = x - wall, the chirp of y and the boost of x."""
+    t = scenario.time
+    if not t > 0.0:
+        raise ValueError(f"{name} requires t > 0")
+    if scenario.mirror.kind is not MirrorKind.MOVING:
+        raise ValueError(f"{name} requires the finite-velocity mirror variant")
+    ctx = scenario.context
+    xa = np.atleast_1d(np.asarray(x, dtype=float))
+    y = xa - scenario.mirror_position
+    return y, _chirp(y, t, ctx), _boost(xa, t, scenario.mirror_velocity, ctx)
+
+
 def psi_moving(x, scenario: Scenario) -> WaveComponents:
     """Exact wavefunction at ``scenario.time`` for a mirror receding at finite velocity v.
 
@@ -215,35 +235,18 @@ def psi_moving(x, scenario: Scenario) -> WaveComponents:
     (k -+ mv/hbar at x - vt and its image vt - x).  On the wall the pairs
     (M1, M3) and (M2, M4) coincide bitwise, so psi(vt, t) is exactly 0.
     """
-    t = scenario.time
-    if not t > 0.0:
-        raise ValueError("psi_moving requires t > 0")
-    if scenario.mirror.kind is not MirrorKind.MOVING:
-        raise ValueError("psi_moving requires the finite-velocity mirror variant")
-    ctx = scenario.context
-    hbar, m = ctx.hbar, ctx.mass
-    v = scenario.mirror_velocity
-    k = scenario.k
-    kp = k - m * v / hbar
-    km = -k - m * v / hbar
-    xa = np.atleast_1d(np.asarray(x, dtype=float))
-    y = xa - scenario.mirror_position
-    chirp = _chirp(y, t, ctx)  # (-y)^2 == y^2 bitwise: one chirp serves all four terms
-    m1 = _moshinsky(y, kp, t, ctx, chirp)
-    m2 = _moshinsky(y, km, t, ctx, chirp)
-    m3 = _moshinsky(-y, kp, t, ctx, chirp)
-    m4 = _moshinsky(-y, km, t, ctx, chirp)
-    prefactor = _boost(xa, t, v, ctx)
+    y, chirp, prefactor = _mirror_frame(x, scenario, "psi_moving")
+    t, ctx = scenario.time, scenario.context
+    k, beta = scenario.k, ctx.mass * scenario.mirror_velocity / ctx.hbar
+    kp, km = k - beta, -k - beta
+    # (-y)^2 == y^2 bitwise: one chirp serves all four terms
+    m1, m2 = (_moshinsky(y, kk, t, ctx, chirp) for kk in (kp, km))
+    m3, m4 = (_moshinsky(-y, kk, t, ctx, chirp) for kk in (kp, km))
     # group the pairs that coincide bitwise at the wall (M1,M3) and (M2,M4)
     # so psi(vt, t) cancels to exactly zero instead of rounding noise
     formal = (m1 - m3) - (m2 - m4)
     psi = np.where(y <= 0.0, prefactor * formal, 0.0 + 0.0j)
-    if np.ndim(x) == 0:
-        return WaveComponents(
-            m1=complex(m1[0]), m2=complex(m2[0]), m3=complex(m3[0]), m4=complex(m4[0]),
-            prefactor=complex(prefactor[0]), psi=complex(psi[0]),
-        )
-    return WaveComponents(m1=m1, m2=m2, m3=m3, m4=m4, prefactor=prefactor, psi=psi)
+    return WaveComponents(*(_unwrap(f, x) for f in (m1, m2, m3, m4, prefactor, psi)))
 
 
 def psi_near_limit(x, scenario: Scenario):
@@ -256,19 +259,10 @@ def psi_near_limit(x, scenario: Scenario):
     Intended for 0 < x < v t with |v - v_k| << v_k; callers compare it
     against ``psi_moving`` for validation.
     """
-    t = scenario.time
-    if not t > 0.0:
-        raise ValueError("psi_near_limit requires t > 0")
-    if scenario.mirror.kind is not MirrorKind.MOVING:
-        raise ValueError("psi_near_limit requires the finite-velocity mirror variant")
-    ctx = scenario.context
-    v = scenario.mirror_velocity
-    xa = np.asarray(x, dtype=float)
-    y = xa - scenario.mirror_position
-    chirp = _chirp(y, t, ctx)
+    y, chirp, boost = _mirror_frame(x, scenario, "psi_near_limit")
+    t, ctx = scenario.time, scenario.context
     pair = _moshinsky(y, 0.0, t, ctx, chirp) - _moshinsky(-y, 0.0, t, ctx, chirp)
-    val = _boost(xa, t, v, ctx) * pair
-    return complex(val) if val.ndim == 0 else val
+    return _unwrap(boost * pair, x)
 
 
 def classical_density(x, scenario: Scenario):

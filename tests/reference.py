@@ -55,13 +55,18 @@ def gamma_ref(y) -> float:
     return float(mp.gamma(mp.mpf(y)))
 
 
-def moshinsky_ref(x, k, t, hbar, mass) -> complex:
-    """M(x, k, t) summed directly in arbitrary precision."""
+def moshinsky_mp(x, k, t, hbar, mass):
+    """M(x, k, t) as an mpmath value at the working precision; x and k may be mpf."""
     x, k, t = mp.mpf(x), mp.mpf(k), mp.mpf(t)
     hb, m = mp.mpf(hbar), mp.mpf(mass)
     z = (1 + 1j) / 2 * mp.sqrt(hb * t / m) * (k - m * x / (hb * t))
     w = mp.exp(-((-z) ** 2)) * mp.erfc(-1j * (-z))
-    return complex(mp.exp(1j * m * x * x / (2 * hb * t)) / 2 * w)
+    return mp.exp(1j * m * x * x / (2 * hb * t)) / 2 * w
+
+
+def moshinsky_ref(x, k, t, hbar, mass) -> complex:
+    """M(x, k, t) summed directly in arbitrary precision."""
+    return complex(moshinsky_mp(x, k, t, hbar, mass))
 
 
 def moshinsky_z(x, k, t: float, context):

@@ -1,3 +1,4 @@
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -19,6 +20,7 @@ from mirrorwave.waves import (
 from .reference import (
     bits,
     moshinsky_asymptotic,
+    moshinsky_mp,
     moshinsky_ref,
     moshinsky_z,
     propagator_free,
@@ -364,12 +366,11 @@ class TestSharedChirpBitwise:
         # buffer and multiplies in the swapped order, which FMA rounds differently
         pair = moshinsky_m(y, 0.0, t, CTX) - moshinsky_m(-y, 0.0, t, CTX)
         assert np.array_equal(bits(psi_near_limit(x, s)), bits(boost * pair))
-        for xi in x[::4001]:
-            yi = float(xi) - v * t
-            one = psi_near_limit(float(xi), s)
+        arr = psi_near_limit(x, s)
+        for i in range(0, x.size, 4001):  # a scalar runs as a one-point array
+            one = psi_near_limit(float(x[i]), s)
             assert type(one) is complex
-            pair = moshinsky_m(yi, 0.0, t, CTX) - moshinsky_m(-yi, 0.0, t, CTX)
-            assert np.array_equal(bits(one), bits(psi_moving(float(xi), s).prefactor * pair))
+            assert np.array_equal(bits(one), bits(arr[i]))
 
     def test_psi_sudden(self):
         t, k = self.T, CTX.wavenumber(self.VK)
@@ -393,6 +394,90 @@ class TestSharedChirpBitwise:
         assert grid.shape == (401, 9)
         assert np.array_equal(bits(grid[:, 3]), bits(moshinsky_m(x, k[150], t, CTX)))
         assert type(moshinsky_m(1e-5, k[7], t, CTX)) is complex
+
+
+class TestScalarIsArrayElement:
+    """A scalar x runs as a one-point array: it returns a Python complex
+    bitwise equal to the same element of an array call."""
+
+    def test_scalar_call_returns_the_array_element(self):
+        rng = np.random.default_rng(2026)
+        t = 10e-3
+        x = rng.uniform(-2e-4, 2e-4, 200)  # v_k t = 100 um
+        k = rng.uniform(-2.0, 2.0, x.size) * K1
+        s = Scenario(CTX, K1, MirrorLaw.moving(0.5 * CTX.velocity(K1)), t)
+        fast = Scenario(CTX, K1, MirrorLaw.moving(1.3 * CTX.velocity(K1)), t)
+        fields = ("m1", "m2", "m3", "m4", "prefactor", "psi")
+        wc = psi_moving(x, s)
+        arrays = [moshinsky_m(x, k, t, CTX), psi_sudden(x, t, K1, CTX), psi_near_limit(x, fast)]
+        arrays += [getattr(wc, f) for f in fields]
+        names = ["moshinsky_m", "psi_sudden", "psi_near_limit"] + [f"psi_moving.{f}" for f in fields]
+        for i, xi in enumerate(x):
+            one = psi_moving(xi, s)
+            scalars = [moshinsky_m(xi, k[i], t, CTX), psi_sudden(xi, t, K1, CTX), psi_near_limit(xi, fast)]
+            scalars += [getattr(one, f) for f in fields]
+            for name, arr, got in zip(names, arrays, scalars):
+                assert type(got) is complex, name
+                assert np.array_equal(bits(got), bits(arr[i])), (name, i)
+
+
+class TestConformanceSweep:
+    """psi against a 40-digit mpmath psi built on the reference M, over
+    seeded draws of (v_k, t) and of points in the figure region of each law.
+
+    The draws cycle sudden removal, 0.2-0.9 v_k and 1.0-1.5 v_k, 10 points
+    each over [-1.5 v_k t, wall] (sudden removal: up to 1.1 v_k t).  The
+    reference wall is ``Scenario.mirror_position`` as the library forms it.
+    A moving mirror forms its frame in float64, which costs up to ~3e-12
+    (sudden removal forms none: ~2e-15); each bound leaves a margin.
+    """
+
+    BOUND = {"sudden": 1e-14, "slow": 1e-11, "fast": 1e-11}
+
+    @staticmethod
+    def draws():
+        rng = np.random.default_rng(6)
+        for i in range(40):
+            law = ("sudden", "slow", "fast")[i % 3]
+            v_k = 10.0 ** rng.uniform(-3.0, -2.0)
+            t = 10.0 ** rng.uniform(-3.0, -1.0)
+            ratio = {"sudden": None, "slow": rng.uniform(0.2, 0.9), "fast": rng.uniform(1.0, 1.5)}[law]
+            hi = 1.1 * v_k * t if ratio is None else ratio * v_k * t
+            yield law, v_k, ratio, t, rng.uniform(-1.5 * v_k * t, hi, 10)
+
+    @staticmethod
+    def psi_mp(s, x):
+        """The closed form summed in mpmath: boost * [M1 - M2 - M3 + M4] in the mirror frame."""
+        ctx = s.context
+        hb, m, t = mp.mpf(ctx.hbar), mp.mpf(ctx.mass), mp.mpf(s.time)
+        x, k = mp.mpf(x), mp.mpf(s.k)
+        if s.mirror.kind is MirrorKind.SUDDEN_REMOVAL:
+            return moshinsky_mp(x, k, t, hb, m) - moshinsky_mp(x, -k, t, hb, m)
+        v = mp.mpf(s.mirror_velocity)
+        y, beta = x - mp.mpf(s.mirror_position), m * v / hb
+        if y > 0:
+            return mp.mpc(0)
+        terms = [moshinsky_mp(sy, sk * k - beta, t, hb, m) for sy in (y, -y) for sk in (1, -1)]
+        boost = mp.expj(m * v * x / hb - m * v * v * t / (2 * hb))
+        return boost * (terms[0] - terms[1] - terms[2] + terms[3])
+
+    @pytest.mark.parametrize("law", ["sudden", "slow", "fast"])
+    def test_closed_form_matches_multiprecision(self, law):
+        worst = 0.0
+        with mp.workdps(40):
+            for kind, v_k, ratio, t, x in self.draws():
+                if kind != law:
+                    continue
+                k = CTX.wavenumber(v_k)
+                if ratio is None:
+                    psi = psi_sudden(x, t, k, CTX)
+                    s = Scenario(CTX, k, MirrorLaw.sudden_removal(), t)
+                else:
+                    s = Scenario(CTX, k, MirrorLaw.moving(ratio * v_k), t)
+                    psi = psi_moving(x, s).psi
+                for xi, got in zip(x, psi):
+                    worst = max(worst, float(abs(mp.mpc(complex(got)) - self.psi_mp(s, xi))))
+        assert worst <= self.BOUND[law], worst
 
 
 class TestBlockedProfileBitwise:
