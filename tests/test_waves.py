@@ -572,7 +572,7 @@ class TestBlockedProfileBitwise:
         for name, sc in laws.items():
             ref = self.one_call(sc, x)
             assert np.array_equal(bits(profile(sc, x).densities), bits(ref)), name
-        # a 2-d grid comes back in its shape; scalars stay on the scalar path
+        # a 2-d grid comes back in its shape; a scalar comes back as a Python complex
         wc = psi_moving(x[:1200].reshape(30, 40), laws["moving"])
         assert wc.psi.shape == (30, 40)
         assert np.array_equal(bits(wc.psi), bits(whole["psi"][:1200]))
