@@ -186,13 +186,10 @@ def main_fringe(p: DensityProfile) -> FringeStats:
     """
     lo, hi, mirror_side, _ = _fringe_window(p.scenario)
     xs, d = p.xs, p.densities
-    lo = max(lo, xs[0])
-    hi = min(hi, xs[-1])
-    sel = (xs >= lo) & (xs <= hi)
-    if sel.sum() < 5:
+    i, j = np.searchsorted(xs, lo), np.searchsorted(xs, hi, side="right")
+    if j - i < 5:
         raise AnalysisError("analysis window contains too few grid points")
-    idx = np.where(sel)[0]
-    xw, dw = xs[idx[0] : idx[-1] + 1], d[idx[0] : idx[-1] + 1]
+    xw, dw = xs[i:j], d[i:j]
     maxima, minima = _local_extrema(dw)
     if maxima.size == 0:
         raise AnalysisError("no local maximum found (grid too coarse or no fringes)")

@@ -15,8 +15,9 @@ arbitrary-precision reference):
                           summed as two real polynomials
 * |z| > 12, off the ray   ``scipy.special.wofz``
 
-all for Im z >= 0; the lower half-plane uses the reflection
-w(z) = 2 exp(-z**2) - w(-z), guarded against overflow of exp(-z**2).
+all for Im z >= 0.  Points below the real axis enter the one pass as -z
+and are corrected in place by the reflection w(z) = 2 exp(-z**2) - w(-z),
+guarded against overflow of exp(-z**2); an input with none skips both.
 
 Large phase arguments (hundreds to thousands of radians arise routinely
 for cm/s beams at ms times) are reduced modulo 2*pi in extended
@@ -243,13 +244,13 @@ def faddeeva(z):
     """Faddeeva function w(z) = exp(-z**2) * erfc(-i*z).
 
     Accepts a complex scalar or array; returns the same shape.  Inputs
-    must be finite.  For Im z < 0 the reflection
-    w(z) = 2*exp(-z**2) - w(-z) is used; arguments deep enough in the
-    lower half-plane to overflow exp(-z**2) raise
-    ``SpecialFunctionOverflow`` rather than returning inf.
+    must be finite.  Points with Im z < 0 enter the one region-scheme
+    pass as -z and are corrected in place by the reflection
+    w(z) = 2*exp(-z**2) - w(-z); arguments deep enough in the lower
+    half-plane to overflow exp(-z**2) raise ``SpecialFunctionOverflow``
+    rather than returning inf.
     """
     za = np.asarray(z, dtype=complex)
-    scalar = za.ndim == 0
     zf = np.atleast_1d(za)
     if not np.all(np.isfinite(zf)):
         raise ValueError("faddeeva requires finite arguments")
@@ -257,12 +258,9 @@ def faddeeva(z):
     if not lower.any():
         out = _w_upper(zf)
     else:
-        out = np.empty(zf.shape, dtype=complex)
-        upper = ~lower
-        out[upper] = _w_upper(zf[upper])
-        zl = zf[lower]
-        out[lower] = _reflection_exp(zl) - _w_upper(-zl)
-    return complex(out[0]) if scalar else out.reshape(za.shape)
+        out = _w_upper(np.where(lower, -zf, zf))
+        out[lower] = _reflection_exp(zf[lower]) - out[lower]
+    return complex(out[0]) if za.ndim == 0 else out
 
 
 def fresnel(theta):

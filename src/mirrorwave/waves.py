@@ -237,7 +237,7 @@ def psi_moving(x, scenario: Scenario) -> WaveComponents:
     """
     y, chirp, prefactor = _mirror_frame(x, scenario, "psi_moving")
     t, ctx = scenario.time, scenario.context
-    k, beta = scenario.k, ctx.mass * scenario.mirror_velocity / ctx.hbar
+    k, beta = scenario.k, ctx.wavenumber(scenario.mirror_velocity)
     kp, km = k - beta, -k - beta
     # (-y)^2 == y^2 bitwise: one chirp serves all four terms
     m1, m2 = (_moshinsky(y, kk, t, ctx, chirp) for kk in (kp, km))

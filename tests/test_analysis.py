@@ -58,6 +58,11 @@ class TestDensityProfile:
             with pytest.raises(ValueError, match="matching 1-D arrays"):
                 profile(s, xs)
 
+    def test_empty_grid_rejected(self):
+        s = Scenario(CTX, K1, MirrorLaw.sudden_removal(), 1e-3)
+        with pytest.raises(ValueError, match="profile grid must be non-empty"):
+            profile(s, [])
+
     def test_grid_checked_before_evaluation(self, monkeypatch):
         # a bad grid raises its ValueError before any wavefunction runs and
         # without a numpy warning
@@ -147,6 +152,13 @@ class TestMainFringe:
         s = Scenario(CTX, K1, MirrorLaw.moving(v), t)
         xs = np.linspace(-150e-6, v * t, 20001)
         with pytest.raises(AnalysisError, match="approaching"):
+            main_fringe(profile(s, xs))
+
+    def test_window_with_too_few_points_raises(self):
+        # one of the 4 points lies in the window around the front at 50 um
+        s = Scenario(CTX, K1, MirrorLaw.sudden_removal(), 5e-3)
+        xs = np.linspace(-100e-6, 90e-6, 4)
+        with pytest.raises(AnalysisError, match="too few grid points"):
             main_fringe(profile(s, xs))
 
     def test_window_without_extrema_raises(self):

@@ -2,7 +2,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.fft import idst
 
+from mirrorwave import oracle
 from mirrorwave.cli import _BLOCK_ROWS, _write_table, main
 
 
@@ -346,6 +348,16 @@ class TestOracleCommand:
         assert rc == 2
         manifest, _, _ = read_table(out)
         assert manifest["validation"] == "fail"
+
+    def test_norm_drift_exit_2(self, tmp_path, capsys, monkeypatch):
+        # an inverse transform that gains 1% of norm trips the drift check
+        monkeypatch.setattr(oracle, "idst", lambda *a, **kw: 1.01 * idst(*a, **kw))
+        rc = main(
+            "oracle --vk 1.0 --static --t 2 --oracle grid --tolerance 1e-3 --out".split()
+            + [str(tmp_path / "nd.csv")]
+        )
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("oracle numerical failure:")
 
     def test_guard_violation_exit_1(self, tmp_path, capsys):
         rc = main(

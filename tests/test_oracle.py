@@ -111,6 +111,13 @@ class TestGridOracle:
         target = 4 * np.sin(K1 * prof.xs) ** 2
         assert np.abs(prof.densities - target).max() <= 1e-3
 
+    def test_window_between_grid_points_raises(self):
+        # 7 interior points over a box of ~100 um miss a 1 um window
+        s = Scenario(CTX, K1, MirrorLaw.static(), 2e-3)
+        cfg = replace(default_config(s, comparison_window=(-1e-6, 0.0)), grid_points=8)
+        with pytest.raises(OracleConfigError, match="fewer than 2 grid points"):
+            evolve_grid(s, cfg)
+
     def test_zero_velocity_matches_static_bitwise(self):
         t = 2e-3
         s_static = Scenario(CTX, K1, MirrorLaw.static(), t)

@@ -129,6 +129,30 @@ class TestFaddeevaDispatch:
         zl = z[lower]
         assert np.array_equal(bits(got[lower]), bits(_reflection_exp(zl) - _w_upper(-zl)))
 
+    def test_mixed_array_element_is_one_point_call(self):
+        # every region in both half-planes, the real axis and the ray
+        # a (1 + i) with its reflection -a (1 + i), shuffled together; the
+        # lower off-ray points keep |Im z| < |Re z|, so exp(-z**2) stays finite
+        rng = np.random.default_rng(27)
+        r = np.concatenate(
+            [rng.uniform(0.0, 1.8, 80), rng.uniform(1.8, 12.0, 80), rng.uniform(12.0, 1e3, 80)]
+        )
+        a = ray_points(12.0, 1e3, 40, 27)
+        z = np.concatenate(
+            [
+                r * np.exp(1j * rng.uniform(0.0, np.pi, r.size)),
+                r * np.exp(1j * rng.uniform(-0.24, -0.01, r.size) * np.pi),
+                r * np.exp(1j * rng.uniform(-0.99, -0.76, r.size) * np.pi),
+                a,
+                -a,
+                rng.uniform(-30.0, 30.0, 40) + 0j,
+            ]
+        )
+        rng.shuffle(z)
+        got = faddeeva(z)
+        alone = np.array([faddeeva(z[i : i + 1])[0] for i in range(z.size)])
+        assert np.array_equal(bits(alone), bits(got))
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.inf), complex(np.nan, 1.0)])
     def test_non_finite_rejected_on_fast_path(self, bad):
         with pytest.raises(ValueError):
