@@ -276,6 +276,8 @@ def _grid(args, s: Scenario) -> np.ndarray:
     else:
         lo, hi = to_si(args.xmin, "um"), to_si(args.xmax, "um")
     if lo > hi or (lo == hi and args.points > 1):
+        if args.xmin is None:
+            raise ValueError("the default grid spans v_k t = 0; give --xmin/--xmax or --t > 0")
         raise ValueError("need xmin < xmax (or a single point with --points 1)")
     return np.linspace(lo, hi, args.points)
 
@@ -376,6 +378,11 @@ def cmd_visibility(args) -> int:
     return 0
 
 
+# (flag, OracleConfig field, flag unit or None) of each oracle override
+_ORACLE_OVERRIDES = (("domain_um", "domain_length", "um"), ("grid_points", "grid_points", None),
+                     ("dt_us", "time_step", "us"), ("trunc_um", "truncation_window", "um"))
+
+
 def cmd_oracle(args) -> int:
     s = _scenario(args)
     if (args.window_lo is None) != (args.window_hi is None):
@@ -383,15 +390,9 @@ def cmd_oracle(args) -> int:
     window = None
     if args.window_lo is not None:
         window = (to_si(args.window_lo, "um"), to_si(args.window_hi, "um"))
-    overrides = {}
-    if args.domain_um is not None:
-        overrides["domain_length"] = to_si(args.domain_um, "um")
-    if args.grid_points is not None:
-        overrides["grid_points"] = args.grid_points
-    if args.dt_us is not None:
-        overrides["time_step"] = to_si(args.dt_us, "us")
-    if args.trunc_um is not None:
-        overrides["truncation_window"] = to_si(args.trunc_um, "um")
+    overrides = {field: value if unit is None else to_si(value, unit)
+                 for flag, field, unit in _ORACLE_OVERRIDES
+                 if (value := getattr(args, flag)) is not None}
     cfg = replace(default_config(s, comparison_window=window), **overrides)
     if args.oracle == "grid":
         oracle_prof = evolve_grid(s, cfg)

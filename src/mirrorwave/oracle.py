@@ -55,6 +55,10 @@ The ``OracleConfig`` guards keep both oracles honest: the domain must be
 deep enough that the artificial left edge cannot influence the
 comparison window, and the time step small enough that per-step phases
 stay in the accurate regime.
+
+Grids are sorted, so the comparison window of ``evolve_grid`` and the
+regions of ``compare`` are cut from them by sorted search
+(``np.searchsorted``) as slices.
 """
 
 from __future__ import annotations
@@ -166,12 +170,17 @@ def _steps(t: float, time_step: float) -> tuple[int, float]:
     return n, t / n
 
 
-def validate_config(scenario: Scenario, config: OracleConfig) -> None:
-    """Check the causality, wall and step-size guards, raising with suggestions."""
+def _time(scenario: Scenario) -> float:
+    """The evolution time t, which every oracle run needs > 0."""
     if scenario.time <= 0:
         raise OracleConfigError("oracle evolution requires scenario.time > 0")
+    return scenario.time
+
+
+def validate_config(scenario: Scenario, config: OracleConfig) -> None:
+    """Check the causality, wall and step-size guards, raising with suggestions."""
+    t = _time(scenario)
     ctx = scenario.context
-    t = scenario.time
     v = _wall_speed(scenario)
     spread = math.sqrt(ctx.hbar * t / ctx.mass)
     x_lo, x_hi = config.comparison_window
@@ -196,9 +205,7 @@ def validate_config(scenario: Scenario, config: OracleConfig) -> None:
 def default_config(scenario: Scenario, comparison_window: tuple | None = None) -> OracleConfig:
     """A configuration that satisfies the guards with comfortable margins."""
     ctx = scenario.context
-    t = scenario.time
-    if t <= 0:
-        raise OracleConfigError("oracle evolution requires scenario.time > 0")
+    t = _time(scenario)
     kind = scenario.mirror.kind
     v = _wall_speed(scenario)
     v_k = scenario.v_k
@@ -230,7 +237,13 @@ def default_config(scenario: Scenario, comparison_window: tuple | None = None) -
         z_tail = dist / (math.sqrt(2.0) * spread)
         amp_fast = min(1.0, 1.0 / (2.0 * math.sqrt(np.pi) * z_tail))
     phase_budget = min(5e-3, max(2.5e-4, 1e-3 / (4.0 * amp_fast)))
-    dt_budget = math.sqrt(12.0 * phase_budget / (t * omega**3))
+    rate = t * omega**3
+    if rate == 0:
+        raise OracleConfigError(
+            f"the phase budget is undefined: t * omega**3 underflows to 0 at v_k = {v_k:.6g}"
+            " m/s; give a faster beam (CLI: --vk)"
+        )
+    dt_budget = math.sqrt(12.0 * phase_budget / rate)
     k_occ, omega_occ = _occupied(scenario, v)
     dt = min(dt_budget, 0.05 / omega_occ, t)
     # the artificial far edge sheds an algebraically decaying wave (the
@@ -317,12 +330,11 @@ def evolve_grid(scenario: Scenario, config: OracleConfig) -> DensityProfile:
         raise OracleNumericalError(f"norm drift {drift:.3e} exceeds 1e-8")
 
     x = y + scenario.mirror_position
-    dens = np.abs(psi_t) ** 2
     x_lo, x_hi = config.comparison_window
-    sel = (x >= x_lo) & (x <= x_hi)
-    if sel.sum() < 2:
+    i, j = np.searchsorted(x, x_lo), np.searchsorted(x, x_hi, side="right")
+    if j - i < 2:
         raise OracleConfigError("comparison window contains fewer than 2 grid points")
-    return DensityProfile(scenario, x[sel], dens[sel])
+    return DensityProfile(scenario, x[i:j].copy(), np.abs(psi_t[i:j]) ** 2)
 
 
 # --- quadrature oracle --------------------------------------------------------
@@ -511,11 +523,9 @@ def evolve_quadrature(
     an ``xs`` that is not a strictly increasing, finite 1-D grid raises the
     ``ValueError`` of ``DensityProfile``, before any quadrature work.
     """
-    if scenario.time <= 0:
-        raise OracleConfigError("oracle evolution requires scenario.time > 0")
     ctx = scenario.context
     hbar, m = ctx.hbar, ctx.mass
-    t = scenario.time
+    t = _time(scenario)
     w_len = config.truncation_window
     xs = np.asarray(xs, dtype=float)
     if xs.size == 0:
@@ -594,30 +604,29 @@ def compare(a: DensityProfile, b: DensityProfile) -> ComparisonReport:
     """Pointwise density comparison with a per-region error breakdown.
 
     Requires identical grids; the regions are the half-open [e_i, e_i+1)
-    of ``stream_regions``, and those the grid misses are left out.
+    of ``stream_regions``, cut from the sorted grid by one sorted search
+    (a point on an edge counts to its right), and those the grid misses
+    are left out.
     """
     if not np.array_equal(a.xs, b.xs):
         raise ValueError("density profiles must share an identical grid")
     err = np.abs(a.densities - b.densities)
     max_abs = float(err.max())
     rms = float(np.sqrt(np.mean(err**2)))
-    edges = stream_regions(a.scenario)[0]
-    bounds = [-np.inf, *edges, np.inf]
-    regions = []
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        sel = (a.xs >= lo) & (a.xs < hi)
-        if not sel.any():
-            continue
-        regions.append(
-            RegionErrors(
-                label=f"[{lo:.4g}, {hi:.4g})",
-                x_lo=float(a.xs[sel][0]),
-                x_hi=float(a.xs[sel][-1]),
-                n_points=int(sel.sum()),
-                max_abs_err=float(err[sel].max()),
-                rms_err=float(np.sqrt(np.mean(err[sel] ** 2))),
-            )
+    bounds = [-np.inf, *stream_regions(a.scenario)[0], np.inf]
+    cuts = np.searchsorted(a.xs, bounds)
+    regions = [
+        RegionErrors(
+            label=f"[{lo:.4g}, {hi:.4g})",
+            x_lo=float(a.xs[i]),
+            x_hi=float(a.xs[j - 1]),
+            n_points=int(j - i),
+            max_abs_err=float(err[i:j].max()),
+            rms_err=float(np.sqrt(np.mean(err[i:j] ** 2))),
         )
+        for lo, hi, i, j in zip(bounds[:-1], bounds[1:], cuts[:-1], cuts[1:])
+        if j > i
+    ]
     lines = [
         f"points compared: {a.xs.size}",
         f"max abs density error: {max_abs:.6e}",

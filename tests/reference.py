@@ -51,10 +51,6 @@ def fresnel_ref(theta):
     return float(mp.fresnelc(t)), float(mp.fresnels(t))
 
 
-def gamma_ref(y) -> float:
-    return float(mp.gamma(mp.mpf(y)))
-
-
 def moshinsky_mp(x, k, t, hbar, mass):
     """M(x, k, t) as an mpmath value at the working precision; x and k may be mpf."""
     x, k, t = mp.mpf(x), mp.mpf(k), mp.mpf(t)

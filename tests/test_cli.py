@@ -77,6 +77,17 @@ class TestProfileCommand:
         )
         assert rc == 1
 
+    @pytest.mark.parametrize("command", ["profile --static", "components --v 0.5"])
+    def test_empty_default_grid_names_its_cause(self, tmp_path, capsys, command):
+        # at t = 0 the default grid, which spans v_k t, is one point, and no
+        # --xmin/--xmax was given to blame
+        out = tmp_path / "f.csv"
+        assert main(f"{command} --vk 1 --t 0 --out {out}".split()) == 1
+        err = capsys.readouterr().err
+        assert "default grid spans" in err and "--xmin/--xmax or --t > 0" in err
+        assert "need xmin < xmax" not in err
+        assert not out.exists()
+
     def test_unknown_species(self, tmp_path):
         out = str(tmp_path / "x.csv")
         rc = main(f"profile --vk 1.0 --sudden --t 5 --species 6Li --out {out}".split())
@@ -368,6 +379,30 @@ class TestOracleCommand:
         assert rc == 1
         err = capsys.readouterr().err
         assert "need domain_length" in err
+
+    def test_underflowing_phase_budget_exit_1(self, tmp_path, capsys):
+        # at v_k = 1e-60 cm/s, t * omega**3 underflows to 0 in default_config
+        out = tmp_path / "x.csv"
+        argv = "oracle --vk 1e-60 --static --t 2 --oracle grid --tolerance 1e-3 --out".split()
+        assert main(argv + [str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("oracle configuration rejected: ") and "underflows" in err
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    def test_all_overrides_reach_the_config(self, tmp_path):
+        out = tmp_path / "o.csv"
+        rc = main(
+            "oracle --vk 1.0 --sudden --t 2 --oracle quadrature --tolerance 1e-3 --points 11 "
+            "--domain-um 500 --grid-points 4096 --dt-us 0.05 --trunc-um 300 --out".split()
+            + [str(out)]
+        )
+        assert rc == 0
+        manifest, _, _ = read_table(out)
+        assert float(manifest["domain_length_m"]) == 5e-4
+        assert int(manifest["grid_points"]) == 4096
+        assert float(manifest["time_step_s"]) == 5e-8
+        assert float(manifest["truncation_window_m"]) == 3e-4
 
     def test_time_step_override(self, tmp_path):
         out = tmp_path / "dt.csv"

@@ -21,6 +21,7 @@ from mirrorwave.oracle import (
     evolve_quadrature,
 )
 from mirrorwave.physics import MirrorKind, MirrorLaw, PhysicalContext, Scenario
+from mirrorwave.waves import stream_regions
 
 from . import reference
 
@@ -74,6 +75,13 @@ class TestConfigGuards:
             default_config(s)
         cfg = default_config(s, comparison_window=(-60e-6, v * 5e-3))
         assert cfg.comparison_window == (-60e-6, v * 5e-3)
+
+    @pytest.mark.parametrize("law", [MirrorLaw.static(), MirrorLaw.moving(1e-63)])
+    def test_underflowing_phase_budget_rejected(self, law):
+        # v_k = 1e-62 m/s: omega ~ 7e-116 rad/s, so t * omega**3 underflows to 0
+        s = Scenario(CTX, CTX.wavenumber(1e-62), law, 2e-3)
+        with pytest.raises(OracleConfigError, match=r"t \* omega\*\*3 underflows to 0"):
+            default_config(s)
 
     def test_sudden_removal_needs_quadrature(self):
         s = Scenario(CTX, K1, MirrorLaw.sudden_removal(), 2e-3)
@@ -601,6 +609,46 @@ class TestCompare:
         # window spans x_minus, x_plus and the mirror: four regions
         assert len(rep.regions) == 4
         assert "per-region breakdown" in rep.report
+
+    def test_region_fields_match_masks(self):
+        # points exactly on x_plus and on the mirror count to their right, and
+        # no point lies in [x_minus, x_plus), so that region is left out
+        t = 10e-3
+        s = Scenario(CTX, K1, MirrorLaw.moving(0.008), t)
+        x_minus, x_plus, x_mirror = stream_regions(s)[0]
+        xs = np.concatenate(
+            [
+                np.linspace(x_minus - 30e-6, np.nextafter(x_minus, -np.inf), 9),
+                [x_plus],
+                np.linspace(x_plus + 1e-6, x_mirror, 6),
+                np.linspace(x_mirror + 1e-6, x_mirror + 5e-6, 3),
+            ]
+        )
+        from mirrorwave.analysis import DensityProfile
+
+        rng = np.random.default_rng(3)
+        a = DensityProfile(s, xs, rng.random(xs.size))
+        b = DensityProfile(s, xs, rng.random(xs.size))
+        err = np.abs(a.densities - b.densities)
+        bounds = [-np.inf, x_minus, x_plus, x_mirror, np.inf]
+        expected = []
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            sel = (xs >= lo) & (xs < hi)
+            if sel.any():
+                expected.append(
+                    (lo, xs[sel][0], xs[sel][-1], sel.sum(), err[sel].max(),
+                     np.sqrt(np.mean(err[sel] ** 2)))
+                )
+        regions = compare(a, b).regions
+        assert [e[0] for e in expected] == [-np.inf, x_plus, x_mirror]
+        assert [r.label for r in regions] == [
+            f"[{lo:.4g}, {hi:.4g})" for lo, hi in [(-np.inf, x_minus), (x_plus, x_mirror),
+                                                   (x_mirror, np.inf)]
+        ]
+        got = [(r.x_lo, r.x_hi, r.n_points, r.max_abs_err, r.rms_err) for r in regions]
+        assert got == [e[1:] for e in expected]
+        assert [r.n_points for r in regions] == [9, 6, 4]
+        assert (regions[1].x_lo, regions[2].x_lo) == (x_plus, x_mirror)
 
     def test_fast_mirror_splits_at_front(self):
         # v > v_k: the region edges are -v_k t and the front v_k t; x_plus
