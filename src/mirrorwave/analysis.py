@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .physics import MirrorKind, MirrorLaw, PhysicalContext, Scenario
+from .physics import MirrorKind, MirrorLaw, PhysicalContext, Scenario, evolution_time
 from .specialfn import fresnel
 from .waves import critical_points, initial_state, psi_moving, psi_sudden
 
@@ -229,8 +229,7 @@ def cornu_theta(x, t: float, k_eff: float, context: PhysicalContext):
     ``universal_enhanced(cornu_theta(...))`` reproduce
     |psi_near_limit|**2 exactly at v = v_k.
     """
-    if not t > 0.0:
-        raise ValueError("cornu_theta requires t > 0")
+    evolution_time(t, context, "cornu_theta")
     hbar, m = context.hbar, context.mass
     xa = np.asarray(x, dtype=float)
     val = np.sqrt(m / (np.pi * hbar * t)) * (hbar * k_eff * t / m - xa)
@@ -288,13 +287,13 @@ def fringe_width_scaling(scenario: Scenario, times) -> WidthScalingResult:
 
     The diffraction fringes of a released beam widen as sqrt(t); the
     fitted exponent of width versus time makes that law testable.
-    Requires at least three strictly positive times.
+    Requires at least three evolution times (``physics.evolution_time``).
     """
     ts = [float(t) for t in times]
     if len(ts) < 3:
         raise ValueError("need at least 3 times to fit a scaling exponent")
-    if any(t <= 0 for t in ts):
-        raise ValueError("times must be positive")
+    for t in ts:
+        evolution_time(t, scenario.context, "fringe_width_scaling")
     pts = []
     for t in ts:
         s = Scenario(scenario.context, scenario.k, scenario.mirror, t)
@@ -322,8 +321,7 @@ def enhancement_scan(v_over_vk, scenario: Scenario) -> list[ScanPoint]:
     ratios = [float(r) for r in v_over_vk]
     if any(r <= 0 for r in ratios):
         raise ValueError("velocity ratios must be positive")
-    if scenario.time <= 0:
-        raise ValueError("enhancement_scan requires scenario.time > 0")
+    evolution_time(scenario.time, scenario.context, "enhancement_scan")
     out = []
     v_k = scenario.v_k
     for r in ratios:

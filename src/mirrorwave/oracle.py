@@ -72,7 +72,7 @@ from scipy.fft import dst, idst
 from scipy.special import wofz
 
 from .analysis import DensityProfile, _grid
-from .physics import MirrorKind, Scenario
+from .physics import MirrorKind, Scenario, evolution_time
 from .waves import _boost, _chirp, initial_state, stream_regions
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
@@ -134,11 +134,6 @@ class OracleConfig:
             raise ValueError("comparison_window must satisfy x_lo < x_hi")
 
 
-def _wall_speed(scenario: Scenario) -> float:
-    """Lab-frame wall speed: v for a moving mirror, 0 for a static or removed one."""
-    return scenario.mirror_velocity if scenario.mirror.kind is MirrorKind.MOVING else 0.0
-
-
 def _check_wall(scenario: Scenario, x: float, what: str) -> None:
     """Raise ``OracleConfigError`` if x lies beyond a static or moving wall.
 
@@ -150,18 +145,42 @@ def _check_wall(scenario: Scenario, x: float, what: str) -> None:
             raise OracleConfigError(f"{what} beyond the mirror position {wall:.6g} m")
 
 
-def _occupied(scenario: Scenario, v: float) -> tuple[float, float]:
-    """Largest wavenumber k_max carried by the beam in the wall frame, and hbar k_max^2 / 2m.
+class _Scales(NamedTuple):
+    """The scales of a scenario that the oracles read, formed once by ``_scales``.
 
-    The standing wave maps to wavenumbers k - mv/hbar and -(k + mv/hbar);
-    a spread margin of 10 sqrt(m / hbar t) covers the transient edge
-    content that matters at the comparison tolerances.
+    t          evolution time
+    v          lab-frame wall speed: v for a moving mirror, 0 for a static
+               or removed one
+    beta       wall-frame wavenumber shift m v / hbar
+    spread     Moshinsky spread sqrt(hbar t / m)
+    band       k + |beta|: the standing wave maps to wavenumbers k - beta
+               and -(k + beta) in the wall frame
+    k_occ      largest wavenumber the beam carries in the wall frame, band +
+               10 / spread; the spread margin covers the transient edge
+               content that matters at the comparison tolerances
+    omega_occ  its kinetic phase rate hbar k_occ^2 / 2m
     """
+
+    t: float
+    v: float
+    beta: float
+    spread: float
+    band: float
+    k_occ: float
+    omega_occ: float
+
+
+def _scales(scenario: Scenario) -> _Scales:
+    """The oracle scales of ``scenario``; a time that no oracle can evolve to
+    raises ``OracleConfigError`` (``physics.evolution_time``)."""
     ctx = scenario.context
-    k_max = scenario.k + abs(ctx.wavenumber(v)) + 10.0 / math.sqrt(
-        ctx.hbar * scenario.time / ctx.mass
-    )
-    return k_max, ctx.hbar * k_max * k_max / (2.0 * ctx.mass)
+    t = evolution_time(scenario.time, ctx, "oracle evolution", OracleConfigError)
+    v = scenario.mirror_velocity if scenario.mirror.kind is MirrorKind.MOVING else 0.0
+    beta = ctx.wavenumber(v)
+    spread = math.sqrt(ctx.hbar * t / ctx.mass)
+    band = scenario.k + abs(beta)
+    k_occ = band + 10.0 / spread
+    return _Scales(t, v, beta, spread, band, k_occ, ctx.hbar * k_occ * k_occ / (2.0 * ctx.mass))
 
 
 def _steps(t: float, time_step: float) -> tuple[int, float]:
@@ -170,21 +189,11 @@ def _steps(t: float, time_step: float) -> tuple[int, float]:
     return n, t / n
 
 
-def _time(scenario: Scenario) -> float:
-    """The evolution time t, which every oracle run needs > 0."""
-    if scenario.time <= 0:
-        raise OracleConfigError("oracle evolution requires scenario.time > 0")
-    return scenario.time
-
-
 def validate_config(scenario: Scenario, config: OracleConfig) -> None:
     """Check the causality, wall and step-size guards, raising with suggestions."""
-    t = _time(scenario)
-    ctx = scenario.context
-    v = _wall_speed(scenario)
-    spread = math.sqrt(ctx.hbar * t / ctx.mass)
+    sc = _scales(scenario)
     x_lo, x_hi = config.comparison_window
-    reach = (scenario.v_k + abs(v)) * t + 10.0 * spread
+    reach = (scenario.v_k + abs(sc.v)) * sc.t + 10.0 * sc.spread
     needed = abs(x_lo) + reach
     if config.domain_length - abs(x_lo) <= reach:
         raise OracleConfigError(
@@ -193,11 +202,10 @@ def validate_config(scenario: Scenario, config: OracleConfig) -> None:
             f"(got {config.domain_length:.6g})"
         )
     _check_wall(scenario, x_hi, "comparison window extends")
-    omega = _occupied(scenario, v)[1]
-    if config.time_step * omega >= 0.1:
+    if config.time_step * sc.omega_occ >= 0.1:
         raise OracleConfigError(
             "time step too coarse: dt * (max kinetic phase rate) must stay "
-            f"below 0.1 rad per step; need time_step < {0.1 / omega:.6g} s "
+            f"below 0.1 rad per step; need time_step < {0.1 / sc.omega_occ:.6g} s "
             f"(got {config.time_step:.6g})"
         )
 
@@ -205,11 +213,10 @@ def validate_config(scenario: Scenario, config: OracleConfig) -> None:
 def default_config(scenario: Scenario, comparison_window: tuple | None = None) -> OracleConfig:
     """A configuration that satisfies the guards with comfortable margins."""
     ctx = scenario.context
-    t = _time(scenario)
+    sc = _scales(scenario)
+    t, v, spread = sc.t, sc.v, sc.spread
     kind = scenario.mirror.kind
-    v = _wall_speed(scenario)
     v_k = scenario.v_k
-    spread = math.sqrt(ctx.hbar * t / ctx.mass)
     if comparison_window is None:
         if kind is MirrorKind.MOVING:
             if v <= -0.5 * v_k:
@@ -224,8 +231,7 @@ def default_config(scenario: Scenario, comparison_window: tuple | None = None) -
         else:
             comparison_window = (-scenario.front, 1.05 * v_k * t)
     x_lo, x_hi = comparison_window
-    beta = abs(ctx.wavenumber(v))
-    omega = ctx.hbar * (scenario.k + beta) ** 2 / (2.0 * ctx.mass)
+    omega = ctx.hbar * sc.band**2 / (2.0 * ctx.mass)
     # Crank-Nicolson phase budget: the fastest modes belong to the
     # counter-propagating component, whose amplitude inside the window
     # falls off as the Moshinsky tail beyond x_minus = -v_k t; scale the
@@ -244,8 +250,7 @@ def default_config(scenario: Scenario, comparison_window: tuple | None = None) -
             " m/s; give a faster beam (CLI: --vk)"
         )
     dt_budget = math.sqrt(12.0 * phase_budget / rate)
-    k_occ, omega_occ = _occupied(scenario, v)
-    dt = min(dt_budget, 0.05 / omega_occ, t)
+    dt = min(dt_budget, 0.05 / sc.omega_occ, t)
     # the artificial far edge sheds an algebraically decaying wave (the
     # initial state's curvature jump there); five ballistic reaches keep
     # its residue well below the 1e-3 comparison scale.  Its high-q part
@@ -259,7 +264,7 @@ def default_config(scenario: Scenario, comparison_window: tuple | None = None) -
     # N is the smallest 2**j or 3 * 2**j above the resolution floor, and at
     # least 1024: a type-I DST of N intervals runs as an FFT of length 2N,
     # and two lengths per octave cut the overshoot from up to 2x to 1.5x
-    floor = int(big_l * 6.0 * k_occ / np.pi)
+    floor = int(big_l * 6.0 * sc.k_occ / np.pi)
     n = 1 << max(floor.bit_length(), 10)
     if 3 * (n >> 2) > max(floor, 1023):
         n = 3 * (n >> 2)
@@ -296,10 +301,9 @@ def evolve_grid(scenario: Scenario, config: OracleConfig) -> DensityProfile:
             "validate sudden removal with the quadrature oracle"
         )
     validate_config(scenario, config)
+    sc = _scales(scenario)
     ctx = scenario.context
     hbar, m = ctx.hbar, ctx.mass
-    t = scenario.time
-    v = _wall_speed(scenario)
     k = scenario.k
 
     half_periods = math.ceil(config.domain_length * k / np.pi)
@@ -314,12 +318,12 @@ def evolve_grid(scenario: Scenario, config: OracleConfig) -> DensityProfile:
     dy = big_l / n
     y = -big_l + dy * np.arange(1, n)
 
-    psi0 = initial_state(y, k) * np.exp(-1j * ctx.wavenumber(v) * y)
+    psi0 = initial_state(y, k) * np.exp(-1j * sc.beta * y)
     coef = dst(psi0, type=1)
 
     q = np.pi * np.arange(1, n) / big_l
     omega = hbar * q * q / (2.0 * m)
-    n_steps, dt = _steps(t, config.time_step)
+    n_steps, dt = _steps(sc.t, config.time_step)
     # (1 - i w dt/2) / (1 + i w dt/2) = exp(-2i atan(w dt/2)), so n steps
     # multiply each mode by exp(-2i n atan(w dt/2))
     coef *= np.exp(-2j * n_steps * np.arctan(0.5 * omega * dt))
@@ -358,7 +362,8 @@ class QuadratureResult:
 class _Kernel(NamedTuple):
     """The superposition integrand K(x_i, x') psi_0(x'), factored.
 
-    With alpha = m / (2 hbar t), beta = m v / hbar and z = x - v t,
+    With alpha = m / (2 hbar t), beta = m v / hbar and z = x - v t (``scales``
+    holds t, v and beta),
 
         K(x_i, x') psi_0(x') = row_i * sum_s a_s e^{i s 2 alpha z_i x'}
                                * e^{i(alpha x'^2 - beta x')} * 2i sin(k x'),
@@ -371,28 +376,26 @@ class _Kernel(NamedTuple):
     """
 
     alpha: float
-    v: float
-    beta: float
     k: float
     z: np.ndarray
     row: np.ndarray
     modes: tuple
+    scales: _Scales
 
 
 def _kernel(scenario: Scenario, xs) -> _Kernel:
     """Factor the superposition integrand at the evaluation points ``xs``."""
     ctx = scenario.context
-    hbar, m = ctx.hbar, ctx.mass
-    t = scenario.time
+    sc = _scales(scenario)
+    hbar, m, t = ctx.hbar, ctx.mass, sc.t
     alpha = m / (2.0 * hbar * t)
     pref = np.sqrt(m / (2.0 * np.pi * hbar * t)) * np.exp(-0.25j * np.pi)
-    v = _wall_speed(scenario)
     if scenario.mirror.kind is MirrorKind.SUDDEN_REMOVAL:
         modes, z = ((-1, 1.0),), xs
     else:
         modes, z = ((-1, 1.0), (1, -1.0)), xs - scenario.mirror_position
-    row = pref * _boost(xs, t, v, ctx) * _chirp(z, t, ctx)
-    return _Kernel(alpha, v, ctx.wavenumber(v), scenario.k, z, row, modes)
+    row = pref * _boost(xs, t, sc.v, ctx) * _chirp(z, t, ctx)
+    return _Kernel(alpha, scenario.k, z, row, modes, sc)
 
 
 def _tail(alpha, kappa, b):
@@ -442,7 +445,7 @@ def _panel_sum(kern: _Kernel, w_len: float, n_panels: int):
     buffers of at most ``_BLOCK_SIZE`` doubles each; the nodes past the
     last panel, in the last group, carry zero weight.
     """
-    alpha, k, beta = kern.alpha, kern.k, kern.beta
+    alpha, k, beta = kern.alpha, kern.k, kern.scales.beta
     c_cos = sum(a for _, a in kern.modes)
     c_sin = 1j * sum(s * a for s, a in kern.modes)
     halfw = 0.5 * w_len / n_panels
@@ -525,7 +528,6 @@ def evolve_quadrature(
     """
     ctx = scenario.context
     hbar, m = ctx.hbar, ctx.mass
-    t = _time(scenario)
     w_len = config.truncation_window
     xs = np.asarray(xs, dtype=float)
     if xs.size == 0:
@@ -535,10 +537,10 @@ def evolve_quadrature(
 
     # panel quadrature over the truncated support [-W, 0]
     kern = _kernel(scenario, xs)
-    k, alpha, beta = kern.k, kern.alpha, kern.beta
-    max_off = float(np.max(np.abs(xs))) + abs(kern.v) * t
-    kap_max = k + abs(beta)
-    dphi_max = 2.0 * alpha * (max_off + w_len) + kap_max
+    k, alpha, sc = kern.k, kern.alpha, kern.scales
+    t, beta = sc.t, sc.beta
+    max_off = float(np.max(np.abs(xs))) + abs(sc.v) * t
+    dphi_max = 2.0 * alpha * (max_off + w_len) + sc.band
     h = (4.0 * np.pi) / dphi_max
     panels = w_len / h
     if panels > _MAX_PANELS:
@@ -556,7 +558,7 @@ def evolve_quadrature(
     # error of order eps times its own magnitude, so a node's phase error
     # stays within about eps times that bound, as when the phase was formed
     # per node, and maps into amplitude error
-    phase_max = alpha * (max_off + w_len) ** 2 + kap_max * w_len
+    phase_max = alpha * (max_off + w_len) ** 2 + sc.band * w_len
     abs_kernel_mass = 2.0 * np.sqrt(m / (2.0 * np.pi * hbar * t)) * w_len
     n_terms = 2 * len(kern.modes)
     roundoff = np.finfo(float).eps * (1.0 + phase_max) * abs_kernel_mass * n_terms

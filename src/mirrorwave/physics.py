@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 
 #: Reduced Planck constant, J*s (2018 CODATA).
@@ -94,6 +95,24 @@ class PhysicalContext:
     def wavenumber(self, v: float) -> float:
         """Wavenumber m*v/hbar for velocity v."""
         return self.mass * v / self.hbar
+
+
+def evolution_time(t: float, context: PhysicalContext, name: str, error=ValueError) -> float:
+    """t, checked for the entry point ``name`` that evolves the beam; else raise ``error``.
+
+    The evolving layers divide by, or take the root of, the product hbar t:
+    m x/(hbar t), sqrt(hbar t/m), m/(2 hbar t).  So t must be > 0 and
+    hbar t a normal float, at least 2**-1022 and finite: below that it is
+    subnormal or 0, and the quotients lose bits or divide by 0.  At the
+    floor, for any mass under 8 kg and |m x| under 4 kg m, all three stay
+    finite and nonzero.
+    """
+    if not sys.float_info.min <= context.hbar * t <= sys.float_info.max:
+        raise error(
+            f"{name} requires t > 0 with hbar t a finite normal float, so t >="
+            f" {sys.float_info.min / context.hbar:.6g} s (got t = {t:.6g} s)"
+        )
+    return t
 
 
 class MirrorKind(enum.Enum):

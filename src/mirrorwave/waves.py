@@ -54,7 +54,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .physics import MirrorKind, PhysicalContext, Scenario
+from .physics import MirrorKind, PhysicalContext, Scenario, evolution_time
 from .specialfn import cis, faddeeva
 
 
@@ -111,9 +111,8 @@ def _unwrap(val, *inputs):
 
 
 def moshinsky_m(x, k, t: float, context: PhysicalContext):
-    """Moshinsky function M(x, k, t); finite for all finite inputs, t > 0."""
-    if not t > 0.0:
-        raise ValueError("moshinsky_m requires t > 0")
+    """Moshinsky function M(x, k, t); finite for all finite inputs and evolution times t."""
+    evolution_time(t, context, "moshinsky_m")
     xa = np.atleast_1d(np.asarray(x, dtype=float))
     val = _moshinsky(xa, np.asarray(k, dtype=float), t, context, _chirp(xa, t, context))
     return _unwrap(val, x, k)
@@ -121,8 +120,7 @@ def moshinsky_m(x, k, t: float, context: PhysicalContext):
 
 def psi_sudden(x, t: float, k: float, context: PhysicalContext):
     """Beam released by instantaneous mirror removal: M(x,k,t) - M(x,-k,t)."""
-    if not t > 0.0:
-        raise ValueError("psi_sudden requires t > 0")
+    evolution_time(t, context, "psi_sudden")
     xa = np.atleast_1d(np.asarray(x, dtype=float))
     chirp = _chirp(xa, t, context)
     return _unwrap(_moshinsky(xa, k, t, context, chirp) - _moshinsky(xa, -k, t, context, chirp), x)
@@ -215,9 +213,7 @@ def stream_regions(scenario: Scenario) -> tuple[tuple[float, ...], tuple[int, ..
 
 def _mirror_frame(x, scenario: Scenario, name: str):
     """The mirror frame of x as an array: y = x - wall, the chirp of y and the boost of x."""
-    t = scenario.time
-    if not t > 0.0:
-        raise ValueError(f"{name} requires t > 0")
+    t = evolution_time(scenario.time, scenario.context, name)
     if scenario.mirror.kind is not MirrorKind.MOVING:
         raise ValueError(f"{name} requires the finite-velocity mirror variant")
     ctx = scenario.context
