@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 from contextlib import nullcontext
 from dataclasses import replace
@@ -56,6 +57,11 @@ _BLOCK_ROWS = 4096
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # read "-1.5e2" as a value, as argparse already reads "-150" and "-1.5"
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
     # usage errors must exit 1 (argparse defaults to 2)
     def error(self, message):
         self.print_usage(sys.stderr)

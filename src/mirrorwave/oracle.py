@@ -185,7 +185,13 @@ def _scales(scenario: Scenario) -> _Scales:
 
 def _steps(t: float, time_step: float) -> tuple[int, float]:
     """The run's Crank-Nicolson steps: n = ceil(t / time_step), at least 1, of t / n each."""
-    n = max(math.ceil(t / time_step), 1)
+    ratio = t / time_step
+    if ratio == math.inf:
+        raise OracleConfigError(
+            f"the step count t / time_step overflows at t = {t:.6g} s, time_step ="
+            f" {time_step:.6g} s; give a shorter time (CLI: --t) or a larger step (CLI: --dt-us)"
+        )
+    n = max(math.ceil(ratio), 1)
     return n, t / n
 
 
@@ -231,7 +237,6 @@ def default_config(scenario: Scenario, comparison_window: tuple | None = None) -
         else:
             comparison_window = (-scenario.front, 1.05 * v_k * t)
     x_lo, x_hi = comparison_window
-    omega = ctx.hbar * sc.band**2 / (2.0 * ctx.mass)
     # Crank-Nicolson phase budget: the fastest modes belong to the
     # counter-propagating component, whose amplitude inside the window
     # falls off as the Moshinsky tail beyond x_minus = -v_k t; scale the
@@ -243,11 +248,19 @@ def default_config(scenario: Scenario, comparison_window: tuple | None = None) -
         z_tail = dist / (math.sqrt(2.0) * spread)
         amp_fast = min(1.0, 1.0 / (2.0 * math.sqrt(np.pi) * z_tail))
     phase_budget = min(5e-3, max(2.5e-4, 1e-3 / (4.0 * amp_fast)))
-    rate = t * omega**3
-    if rate == 0:
+    # the budget's rate t omega**3, with omega = hbar band**2 / 2m, must be a
+    # positive finite float (Python's float ** raises where it overflows)
+    slower = "a slower beam (CLI: --vk" + (" or --v)" if kind is MirrorKind.MOVING else ")")
+    try:
+        rate = t * (ctx.hbar * sc.band**2 / (2.0 * ctx.mass)) ** 3
+    except OverflowError:
+        rate, fix = math.inf, slower
+    else:
+        fix = "a faster beam (CLI: --vk)" if rate == 0 else f"a shorter time (CLI: --t) or {slower}"
+    if not 0 < rate < math.inf:
+        what = "underflows to 0 at" if rate == 0 else f"overflows at t = {t:.6g} s,"
         raise OracleConfigError(
-            f"the phase budget is undefined: t * omega**3 underflows to 0 at v_k = {v_k:.6g}"
-            " m/s; give a faster beam (CLI: --vk)"
+            f"the phase budget is undefined: t * omega**3 {what} v_k = {v_k:.6g} m/s; give {fix}"
         )
     dt_budget = math.sqrt(12.0 * phase_budget / rate)
     dt = min(dt_budget, 0.05 / sc.omega_occ, t)

@@ -62,10 +62,15 @@ def initial_state(x, k: float):
     """Standing matter wave 2i sin(kx) for x < 0, zero at and beyond the wall.
 
     The Heaviside convention Theta(0) = 0 keeps the state consistent with
-    the Dirichlet condition at the mirror (a measure-zero choice).
+    the Dirichlet condition at the mirror (a measure-zero choice).  A phase
+    k x that is not a finite float64 raises ``ValueError`` before any sine.
     """
     xa = np.asarray(x, dtype=float)
-    val = np.where(xa < 0.0, 2j * np.sin(k * xa), 0.0 + 0.0j)
+    with np.errstate(over="ignore"):
+        phase = k * xa
+    if not np.all(np.isfinite(phase)):
+        raise ValueError(f"initial_state: the phase k x is not a finite float64 at k = {k:.6g} 1/m")
+    val = np.where(xa < 0.0, 2j * np.sin(phase), 0.0 + 0.0j)
     return complex(val[()]) if val.ndim == 0 else val
 
 

@@ -547,3 +547,105 @@ def test_usage_error(tmp_path, capsys, argv):
 def test_help_exits_0(capsys):
     assert main(["--help"]) == 0
     assert "usage: mirrorwave" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "exponent, plain",
+    [
+        ("profile --vk 1 --t 5 --v 0.5 --xmin -1.5e2 --xmax 50 --points 9",
+         "profile --vk 1 --t 5 --v 0.5 --xmin -150 --xmax 50 --points 9"),
+        ("profile --vk 1 --t 5 --v -5e-1 --points 9", "profile --vk 1 --t 5 --v -0.5 --points 9"),
+        ("oracle --vk 1 --t 5 --static --oracle quadrature --tolerance 1e-3 --points 3"
+         " --window-lo -2e1 --window-hi 0",
+         "oracle --vk 1 --t 5 --static --oracle quadrature --tolerance 1e-3 --points 3"
+         " --window-lo -20 --window-hi 0"),
+        ("cornu --theta-min -3e0 --points 5", "cornu --theta-min -3 --points 5"),
+    ],
+    ids=["xmin", "v", "window-lo", "theta-min"],
+)
+def test_negative_exponent_values(tmp_path, capsys, exponent, plain):
+    # argparse itself reads "-150" and "-1.5" as values but not "-1.5e2"
+    texts = []
+    for i, argv in enumerate((exponent, plain)):
+        out = tmp_path / f"{i}.csv"
+        assert main(argv.split() + ["--out", str(out)]) == 0
+        texts.append(strip_timestamp(out.read_text()))
+    assert texts[0] == texts[1]
+    assert capsys.readouterr().err == ""
+
+
+_MAGNITUDES = ("1e-300", "1e-100", "1e-20", "1e20", "1e100", "1e300")
+_ORACLE_RUNS = (
+    "--static --oracle grid",
+    "--v 0.5 --oracle grid",
+    "--static --oracle quadrature",
+    "--sudden --oracle quadrature",
+    "--v 0.5 --oracle quadrature",
+)
+
+
+def _extreme_runs():
+    """Every subcommand at --vk or --t of 1e-300 ... 1e300, the other at 1 cm/s or 5 ms."""
+    for scale in [f"--vk {m} --t 5" for m in _MAGNITUDES] + [f"--vk 1 --t {m}" for m in _MAGNITUDES]:
+        for law in ("--static", "--sudden", "--v 0.5"):
+            yield f"profile {scale} {law} --points 50"
+        yield f"components {scale} --v 0.5 --points 50"
+        yield f"visibility {scale} --ratio-points 3"
+        for run in _ORACLE_RUNS:
+            yield f"oracle {scale} {run} --tolerance 1e-3 --points 5"
+    for m in _MAGNITUDES:
+        yield f"profile --vk 1 --t 5 --v {m} --points 50"
+
+
+def test_extreme_magnitudes_exit_with_one_line(tmp_path, capsys):
+    # 126 runs; no exception or warning (an error under this suite's
+    # filterwarnings) escapes main, and a rejected run writes no file
+    out = tmp_path / "x.csv"
+    runs = list(_extreme_runs())
+    assert len(runs) == 126
+    for argv in runs:
+        code = main(argv.split() + ["--out", str(out)])
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2), argv
+        # argparse usage lines start with "usage:" or are indented
+        lines = [line for line in err.splitlines() if not line.startswith(("usage:", " "))]
+        assert len(lines) <= 1, (argv, err)
+        if code == 1:
+            assert not out.exists(), argv
+        out.unlink(missing_ok=True)
+
+
+@pytest.mark.parametrize(
+    "run", _ORACLE_RUNS, ids=["grid-static", "grid-moving", "quad-static", "quad-sudden", "quad-moving"]
+)
+@pytest.mark.parametrize(
+    "scale, flag",
+    [("--vk 1e100 --t 5", "--vk"), ("--vk 1e300 --t 5", "--vk"), ("--vk 1 --t 1e300", "--t")],
+    ids=["vk1e100", "vk1e300", "t1e300"],
+)
+def test_extreme_oracle_scale_names_its_flag(tmp_path, capsys, scale, flag, run):
+    out = tmp_path / "x.csv"
+    assert main(f"oracle {scale} {run} --tolerance 1e-3 --points 5 --out {out}".split()) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("oracle configuration rejected: the phase budget is undefined")
+    assert err.count("\n") == 1 and f"(CLI: {flag}" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ("oracle --vk 1 --t 1e250 --static --oracle grid --tolerance 1e-3",
+         "oracle configuration rejected: the step count t / time_step overflows"),
+        ("oracle --vk 1 --t 5 --static --oracle grid --tolerance 1e-3 --dt-us 1e-310",
+         "oracle configuration rejected: the step count t / time_step overflows"),
+        ("profile --vk 1e300 --t 5 --static --points 5", "error: initial_state: the phase k x"),
+    ],
+    ids=["long-time", "subnormal-step", "static-phase"],
+)
+def test_overflowing_scale_exit_1(tmp_path, capsys, argv, message):
+    out = tmp_path / "x.csv"
+    assert main(argv.split() + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(message) and err.count("\n") == 1
+    assert not out.exists()

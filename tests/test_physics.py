@@ -1,3 +1,7 @@
+import math
+import sys
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -11,6 +15,7 @@ from mirrorwave.physics import (
     PhysicalContext,
     Scenario,
     UnknownUnitError,
+    evolution_time,
     from_si,
     to_si,
 )
@@ -168,3 +173,61 @@ _CFG = oracle.OracleConfig(1e-3, 64, 1e-6, 1e-4, (-1e-5, 0.0))
 def test_zero_time_rejected(call, error):
     with pytest.raises(error, match=r"\b(t|time) > 0"):
         call()
+
+
+def _least_evolution_time(ctx):
+    """The least t with hbar t a normal float: the floor of ``evolution_time``."""
+    t = sys.float_info.min / ctx.hbar
+    while ctx.hbar * t < sys.float_info.min:
+        t = math.nextafter(t, math.inf)
+    while ctx.hbar * math.nextafter(t, 0.0) >= sys.float_info.min:
+        t = math.nextafter(t, 0.0)
+    return t
+
+
+class TestEvolutionTime:
+    T_MIN = _least_evolution_time(_CTX)
+
+    def test_floor_keeps_the_layers_products_finite(self):
+        t = self.T_MIN
+        assert evolution_time(t, _CTX, "f") == t
+        hbar_t = _CTX.hbar * t
+        x = 1e-3  # a lab-scale distance, m
+        for product in (
+            _CTX.mass * x / hbar_t,  # m x / (hbar t), the Moshinsky argument
+            math.sqrt(hbar_t / _CTX.mass),  # the Moshinsky spread
+            _CTX.mass / (2.0 * hbar_t),  # the quadrature's alpha
+        ):
+            assert 0.0 < product < math.inf
+        moving = Scenario(_CTX, _K, MirrorLaw.moving(0.005), t)
+        for values in (
+            waves.psi_sudden(_XS, t, _K, _CTX),
+            waves.moshinsky_m(_XS, _K, t, _CTX),
+            waves.psi_moving(_XS, moving).psi,
+            analysis.cornu_theta(_XS, t, _K, _CTX),
+        ):
+            assert np.all(np.isfinite(values))
+        assert oracle._scales(moving).t == t
+
+    @pytest.mark.parametrize(
+        "t", [math.nextafter(T_MIN, 0.0), 0.0, -1.0, math.inf, math.nan], ids=str
+    )
+    def test_below_floor_or_not_finite_rejected(self, t):
+        moving = replace(_MOVING_0, time=t) if math.isfinite(t) and t >= 0 else None
+        with pytest.raises(ValueError, match=r"^f requires t > 0 with hbar t a finite normal"):
+            evolution_time(t, _CTX, "f")
+        with pytest.raises(ValueError, match=r"^psi_sudden requires t > 0"):
+            waves.psi_sudden(_XS, t, _K, _CTX)
+        with pytest.raises(ValueError, match=r"^cornu_theta requires t > 0"):
+            analysis.cornu_theta(_XS, t, _K, _CTX)
+        if moving is not None:  # a Scenario takes only finite t >= 0
+            with pytest.raises(ValueError, match=r"^psi_moving requires t > 0"):
+                waves.psi_moving(_XS, moving)
+            with pytest.raises(oracle.OracleConfigError, match=r"^oracle evolution requires t > 0"):
+                oracle.default_config(moving)
+            with pytest.raises(ValueError, match=r"^fringe_width_scaling requires t > 0"):
+                analysis.fringe_width_scaling(moving, [5e-3, t, 10e-3])
+
+    def test_error_type_is_the_callers(self):
+        with pytest.raises(oracle.OracleConfigError):
+            evolution_time(0.0, _CTX, "f", oracle.OracleConfigError)

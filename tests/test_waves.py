@@ -57,6 +57,17 @@ class TestInitialState:
         vals = initial_state(x, K1)
         assert vals[1] == 0.0 and vals[2] == 0.0 and vals[0] != 0.0
 
+    def test_finite_phase_is_the_sine(self):
+        x = np.random.default_rng(29).uniform(-1e-3, 1e-3, 1000)
+        want = np.where(x < 0.0, 2j * np.sin(K1 * x), 0.0 + 0.0j)
+        assert np.array_equal(bits(initial_state(x, K1)), bits(want))
+
+    @pytest.mark.parametrize("x", [np.array([-1e-6, -1e10]), np.array([-1e-6, 1e10]), -1e10])
+    def test_phase_overflow_raises_before_any_sine(self, x):
+        # k x overflows float64 at k = 1e300 / m, x = 1e10 m (warnings are errors here)
+        with pytest.raises(ValueError, match="initial_state: the phase k x is not a finite"):
+            initial_state(x, 1e300)
+
 
 class TestMoshinsky:
     def test_origin(self):
