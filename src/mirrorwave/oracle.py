@@ -14,7 +14,13 @@ Two oracles, deliberately different from the closed-form route:
         psi^{n+1} = (1 - i w dt/2) / (1 + i w dt/2) psi^n   per mode,
 
     an implicit, unconditionally stable, norm-preserving (unitary to
-    round-off) scheme that is second order in dt.  The n-step product is
+    round-off) scheme that is second order in dt.  The box is sized by the
+    physics: the initial state is tapered smoothly to zero (an erfc edge
+    4 s wide, s = sqrt(hbar t / m)) 40 s beyond the window's domain of
+    dependence, so the far wall sheds nothing, and the box only has to
+    keep the wall's own fast content, which moves at most at the
+    Crank-Nicolson group-velocity peak, out of the window for a round trip
+    to the far wall and back (``default_config``).  The n-step product is
     applied in its exact closed form exp(-2i n atan(w dt/2)), so a run
     costs two transforms whatever the step count; the norm is checked in
     real space after the inverse transform.  The per-mode phase error
@@ -69,7 +75,7 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy.fft import dst, idst
-from scipy.special import wofz
+from scipy.special import erfc, wofz
 
 from .analysis import DensityProfile, _grid
 from .physics import MirrorKind, Scenario, evolution_time
@@ -88,9 +94,16 @@ _BLOCK_SIZE = 1 << 16
 # this leaves ~400x headroom
 _MAX_PANELS = 1 << 26
 # the most grid intervals a grid run may take: default configurations need
-# at most 2**22 over v_k 0.1-1 cm/s, t 1-100 ms and v <= 1.5 v_k (2**24 at
-# v = 3 v_k, t 100 ms, and 3 * 2**23 past the cap at v = 3.5 v_k); a run
-# holds ~90 bytes per interval, ~1.5 GB at the cap
+# at most 2**21 over v_k 0.1-1 cm/s, t 1-100 ms and v <= 1.5 v_k (2**23 at
+# v = 3 v_k, t 100 ms, 3 * 2**22 at v = 3.5 v_k, and 3 * 2**23 past the cap
+# at v = 5 v_k, each at v_k 1 cm/s); a run holds ~90 bytes per interval,
+# ~1.5 GB at the cap
+# the grid oracle's margins, in Moshinsky spreads sqrt(hbar t / m): its
+# taper sits _GRID_MARGIN past the window's domain of dependence, with an
+# erfc edge _TAPER_WIDTH wide, and its box keeps the wall's Crank-Nicolson
+# front _GRID_MARGIN short of the window (``default_config``)
+_GRID_MARGIN = 40.0
+_TAPER_WIDTH = 4.0
 _MAX_GRID_POINTS = 1 << 24
 
 
@@ -195,13 +208,27 @@ def _steps(t: float, time_step: float) -> tuple[int, float]:
     return n, t / n
 
 
+def _taper_depth(scenario: Scenario, sc: _Scales, x_lo: float) -> float:
+    """Depth D below the wall of the grid oracle's taper midpoint.
+
+    The window's deepest point lies |x_lo - v t| below the wall in the mirror
+    frame, and its initial data come from at most the beam's mirror-frame
+    reach (v_k + |v|) t deeper; D adds ``_GRID_MARGIN`` spreads to that.
+    """
+    return abs(x_lo - sc.v * sc.t) + (scenario.v_k + abs(sc.v)) * sc.t + _GRID_MARGIN * sc.spread
+
+
 def validate_config(scenario: Scenario, config: OracleConfig) -> None:
-    """Check the causality, wall and step-size guards, raising with suggestions."""
+    """Check the causality, wall and step-size guards, raising with suggestions.
+
+    The box [-L, 0] is in the mirror frame, so the window's depth is taken
+    as the larger of its lab-frame |x_lo| and mirror-frame |x_lo - v t|.
+    """
     sc = _scales(scenario)
     x_lo, x_hi = config.comparison_window
     reach = (scenario.v_k + abs(sc.v)) * sc.t + 10.0 * sc.spread
-    needed = abs(x_lo) + reach
-    if config.domain_length - abs(x_lo) <= reach:
+    needed = max(abs(x_lo), abs(x_lo - sc.v * sc.t)) + reach
+    if config.domain_length <= needed:
         raise OracleConfigError(
             "domain too shallow: influence of the artificial far wall can reach "
             f"the comparison window; need domain_length > {needed:.6g} m "
@@ -217,7 +244,16 @@ def validate_config(scenario: Scenario, config: OracleConfig) -> None:
 
 
 def default_config(scenario: Scenario, comparison_window: tuple | None = None) -> OracleConfig:
-    """A configuration that satisfies the guards with comfortable margins."""
+    """A configuration that satisfies the guards with comfortable margins.
+
+    The grid box is sized by the physics, not by the scheme's far-edge
+    artefacts: L = max(D + 6 Delta, (v_front t + |x_lo - v t|) / 2 + 40 s),
+    which holds the taper ``evolve_grid`` applies (midpoint D, width Delta)
+    and the round trip of the wall's Crank-Nicolson front v_front t to the
+    far wall and back (the comment at the rule gives the reasoning).  N is
+    the smallest 2**j or 3 * 2**j above 6 L k_occ / pi, and the step keeps
+    the Crank-Nicolson phase error within its budget.
+    """
     ctx = scenario.context
     sc = _scales(scenario)
     t, v, spread = sc.t, sc.v, sc.spread
@@ -264,16 +300,42 @@ def default_config(scenario: Scenario, comparison_window: tuple | None = None) -
         )
     dt_budget = math.sqrt(12.0 * phase_budget / rate)
     dt = min(dt_budget, 0.05 / sc.omega_occ, t)
-    # the artificial far edge sheds an algebraically decaying wave (the
-    # initial state's curvature jump there); five ballistic reaches keep
-    # its residue well below the 1e-3 comparison scale.  Its high-q part
-    # travels at the Crank-Nicolson group velocity, which peaks at
-    # 3**0.75 / 2 * sqrt(hbar / (m dt)) and piles up into a caustic front
-    # there; the domain must also keep that front out of the window.
+    # The box [-L, 0] must hold two things, each a margin of _GRID_MARGIN
+    # spreads s clear of the window.  evolve_grid multiplies the initial
+    # state by the taper 0.5 erfc((-y - D) / Delta), Delta = _TAPER_WIDTH s,
+    # which rounds to 1 above depth D - 6 Delta and is below 1e-17 past
+    # D + 6 Delta, so the state meets the artificial far wall at zero with
+    # all its derivatives and the far wall sheds nothing; the box must reach
+    # D + 6 Delta.  D (``_taper_depth``) lies one margin past the window's
+    # domain of dependence: the deepest window point |x_lo - v t| (mirror
+    # frame) plus the beam's mirror-frame reach (v_k + |v|) t.  The margin
+    # and width meet two conditions.  The taper must be 1 on the domain of
+    # dependence, margin >= 6 Delta.  And the taper's edge, whose spectrum
+    # falls as exp(-(dq Delta)**2 / 4) at an offset dq from the beam's
+    # wavenumbers, reaches the window only with dq >= margin / s**2 (its
+    # extra reach hbar dq t / m must cover the margin): a factor
+    # exp(-(margin Delta)**2 / (4 s**4)), so margin Delta >= 12 s**2 brings
+    # it to 1e-16.  The real wall still sheds fast content: the odd
+    # extension of 2i sin(k y) e^{-i beta y} jumps in its second derivative
+    # at y = 0 (unless beta = 0), a spectrum falling only as 1/q**3.  Its
+    # high-q part moves at most at the Crank-Nicolson group-velocity peak
+    # v_front = 3**0.75 / 2 * sqrt(hbar / (m dt)), where it piles up into a
+    # caustic front; it must run to the far wall and back, a path of
+    # 2L - |x_lo - v t|, before it enters the window.  So
+    # L = max(D + 6 Delta, (v_front t + |x_lo - v t|) / 2 + margin).  The
+    # values 40 s and 4 s (margin / Delta = 10, margin Delta = 160 s**2) are
+    # tuned, not derived: in a scan of margins 10-80 s and widths 1-8 s over
+    # 7 inputs (3 `validate` draws, static, approaching, fast and slow
+    # mirrors) no pair with margin >= 6 Delta moved an error by more than
+    # 3.2e-6 from the default's, and every pair with margin / Delta <= 2.5
+    # raised the largest to 7.3e-4-0.15; 40 s keeps the old box's margin
+    # behind the caustic front.
     dt_run = _steps(t, dt)[1]
     v_front = 0.5 * 3.0**0.75 * math.sqrt(ctx.hbar / (ctx.mass * dt_run))
-    reach = max(5.0 * (v_k + abs(v)), abs(v) + v_front) * t
-    big_l = abs(x_lo) + reach + 40.0 * spread
+    big_l = max(
+        _taper_depth(scenario, sc, x_lo) + 6.0 * _TAPER_WIDTH * spread,
+        0.5 * (v_front * t + abs(x_lo - v * t)) + _GRID_MARGIN * spread,
+    )
     # N is the smallest 2**j or 3 * 2**j above the resolution floor, and at
     # least 1024: a type-I DST of N intervals runs as an FFT of length 2N,
     # and two lengths per octave cut the overshoot from up to 2x to 1.5x
@@ -297,16 +359,23 @@ def default_config(scenario: Scenario, comparison_window: tuple | None = None) -
 def evolve_grid(scenario: Scenario, config: OracleConfig) -> DensityProfile:
     """Mirror-frame grid evolution; lab-frame densities on the window.
 
-    The box length is snapped up to the next multiple of pi/k so the
-    truncated standing wave vanishes at the artificial far wall, which
-    removes the leading (value-discontinuity) edge artifact; the
-    causality guard keeps the rest away from the window.  The n-step
-    Crank-Nicolson product rho**n is applied in its exact closed form
+    The mirror-frame initial state is multiplied by the taper
+    0.5 erfc((-y - D) / Delta), with D = |x_lo - v t| + (v_k + |v|) t + 40 s
+    and Delta = 4 s, s = sqrt(hbar t / m) (``default_config`` gives the
+    reasoning).  D follows from the scenario and the window alone, never
+    from L: the taper is 1 to round-off on the window's domain of
+    dependence whatever the box, and an overriding L short of D + 6 Delta
+    cuts the taper off, so the far wall meets the (nonzero) state as in an
+    untapered box, which the causality guard still bounds.  The box length
+    is snapped up to the next multiple of pi/k, so an untapered standing
+    wave would vanish at the far wall too.  The n-step Crank-Nicolson
+    product rho**n is applied in its exact closed form
     exp(-2i n atan(w dt/2)), one multiply per mode.  The norm of the
     evolved state is checked in real space, after the inverse transform:
     drift beyond 1e-8 from the initial state raises ``OracleNumericalError``.
-    More than ``_MAX_GRID_POINTS`` grid intervals raise ``OracleConfigError``
-    before any array is allocated.
+    More than ``_MAX_GRID_POINTS`` grid intervals, or a window that holds
+    fewer than 2 grid points, raise ``OracleConfigError`` before any
+    transform.
     """
     if scenario.mirror.kind is MirrorKind.SUDDEN_REMOVAL:
         raise OracleConfigError(
@@ -323,15 +392,25 @@ def evolve_grid(scenario: Scenario, config: OracleConfig) -> DensityProfile:
     big_l = half_periods * np.pi / k
     n = int(config.grid_points)
     if n > _MAX_GRID_POINTS:
+        shown = str(n)
+        if len(shown) > 16:  # an N sized for a huge horizon: leading digits and exponent
+            shown = f"{shown[0]}.{shown[1:4]}e+{len(shown) - 1}"
         raise OracleConfigError(
-            f"grid_points N = {n} is more than {_MAX_GRID_POINTS}; give a smaller N"
+            f"grid_points N = {shown} is more than {_MAX_GRID_POINTS}; give a smaller N"
             " (CLI: --grid-points) if it still resolves the beam, or validate the"
             " scenario with the quadrature oracle (CLI: --oracle quadrature)"
         )
     dy = big_l / n
     y = -big_l + dy * np.arange(1, n)
+    x = y + scenario.mirror_position
+    x_lo, x_hi = config.comparison_window
+    i, j = np.searchsorted(x, x_lo), np.searchsorted(x, x_hi, side="right")
+    if j - i < 2:
+        raise OracleConfigError("comparison window contains fewer than 2 grid points")
+    x = x[i:j].copy()  # the profile owns its points, and the lab grid is freed
 
     psi0 = initial_state(y, k) * np.exp(-1j * sc.beta * y)
+    psi0 *= 0.5 * erfc((-y - _taper_depth(scenario, sc, x_lo)) / (_TAPER_WIDTH * sc.spread))
     coef = dst(psi0, type=1)
 
     q = np.pi * np.arange(1, n) / big_l
@@ -342,16 +421,12 @@ def evolve_grid(scenario: Scenario, config: OracleConfig) -> DensityProfile:
     coef *= np.exp(-2j * n_steps * np.arctan(0.5 * omega * dt))
     psi_t = idst(coef, type=1)
 
-    drift = abs(float(np.linalg.norm(psi_t)) / float(np.linalg.norm(psi0)) - 1.0)
-    if drift > 1e-8:
-        raise OracleNumericalError(f"norm drift {drift:.3e} exceeds 1e-8")
-
-    x = y + scenario.mirror_position
-    x_lo, x_hi = config.comparison_window
-    i, j = np.searchsorted(x, x_lo), np.searchsorted(x, x_hi, side="right")
-    if j - i < 2:
-        raise OracleConfigError("comparison window contains fewer than 2 grid points")
-    return DensityProfile(scenario, x[i:j].copy(), np.abs(psi_t[i:j]) ** 2)
+    norm0, norm_t = float(np.linalg.norm(psi0)), float(np.linalg.norm(psi_t))
+    if abs(norm_t - norm0) > 1e-8 * norm0:
+        raise OracleNumericalError(
+            f"norm drift |{norm_t:.6e} - {norm0:.6e}| exceeds 1e-8 of the initial norm"
+        )
+    return DensityProfile(scenario, x, np.abs(psi_t[i:j]) ** 2)
 
 
 # --- quadrature oracle --------------------------------------------------------
@@ -590,7 +665,7 @@ def evolve_quadrature(
     dens = np.abs(psi) ** 2
     est_dens = 2.0 * np.sqrt(dens) * est_amp + est_amp**2
 
-    flagged = bool(tolerance is not None and np.any(est_dens > tolerance))
+    flagged = bool(tolerance is not None and not np.all(est_dens <= tolerance))
     prof = DensityProfile(scenario, xs, dens)
     return QuadratureResult(profile=prof, truncation_estimate=est_dens, flagged=flagged)
 

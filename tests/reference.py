@@ -6,8 +6,9 @@ kept deliberately separate from the package's own algorithms, the
 Fresnel power series, plus the straightforward forms of the numerical
 oracles' inner loops (the stepped Crank-Nicolson product and the
 unfactored free and moving-wall propagators) that the library replaces
-with closed-form and factored equivalents, and the half-line Fresnel
-integral of the quadrature tail in 40 digits.  It also holds helpers only
+with closed-form and factored equivalents, the grid oracle's default box
+rule from before its taper, and the half-line Fresnel integral of the
+quadrature tail in 40 digits.  It also holds helpers only
 the tests use: erfc of a complex argument built on the package's
 Faddeeva kernel, the scaled Moshinsky argument z and the large-|z|
 expansion of M, the grid-oracle refinement step of convergence
@@ -20,7 +21,10 @@ from dataclasses import replace
 import mpmath as mp
 import numpy as np
 from scipy.fft import dst, idst
+from scipy.special import erfc
 
+from mirrorwave.oracle import default_config
+from mirrorwave.physics import MirrorKind
 from mirrorwave.specialfn import _EXP_OVERFLOW, SpecialFunctionOverflow, _w_upper, cis
 
 mp.mp.dps = 30
@@ -136,18 +140,25 @@ def spread_gaussian_ref(x, t, sigma0, hbar, mass) -> complex:
 def evolve_grid_stepped(scenario, config):
     """Lab-frame (x, density) of the grid oracle by explicit time stepping.
 
-    Same box, grid and initial state as ``evolve_grid``; the DST-I of the
-    complex state is taken componentwise and the Crank-Nicolson factor
-    (1 - i w dt/2) / (1 + i w dt/2) is applied once per step.
+    Same box, grid and tapered initial state as ``evolve_grid``: the
+    mirror-frame standing wave times 0.5 erfc((-y - D) / (4 s)), with
+    D = |x_lo - v t| + (v_k + |v|) t + 40 s and s = sqrt(hbar t / m).  The
+    DST-I of the complex state is taken componentwise and the
+    Crank-Nicolson factor (1 - i w dt/2) / (1 + i w dt/2) is applied once
+    per step.
     """
     ctx = scenario.context
     hbar, m = ctx.hbar, ctx.mass
     t, k = scenario.time, scenario.k
     v = scenario.mirror_velocity
+    x_lo, x_hi = config.comparison_window
     big_l = math.ceil(config.domain_length * k / np.pi) * np.pi / k
     n = int(config.grid_points)
     y = -big_l + (big_l / n) * np.arange(1, n)
-    psi0 = 2j * np.sin(k * y) * np.exp(-1j * (m * v / hbar) * y)
+    spread = math.sqrt(hbar * t / m)
+    depth = abs(x_lo - v * t) + (scenario.v_k + abs(v)) * t + 40.0 * spread
+    taper = 0.5 * erfc((-y - depth) / (4.0 * spread))
+    psi0 = 2j * np.sin(k * y) * np.exp(-1j * (m * v / hbar) * y) * taper
     coef = dst(psi0.real, type=1) + 1j * dst(psi0.imag, type=1)
     q = np.pi * np.arange(1, n) / big_l
     omega = hbar * q * q / (2.0 * m)
@@ -158,9 +169,35 @@ def evolve_grid_stepped(scenario, config):
         coef *= rho
     psi_t = idst(coef.real, type=1) + 1j * idst(coef.imag, type=1)
     x = y + v * t
-    x_lo, x_hi = config.comparison_window
     sel = (x >= x_lo) & (x <= x_hi)
     return x[sel], np.abs(psi_t[sel]) ** 2
+
+
+def untapered_config(scenario):
+    """The grid oracle's default configuration under the rule before the taper.
+
+    L = |x_lo| + max(5 (v_k + |v|), |v| + v_front) t + 40 s, sized for an
+    untapered initial state whose far edge sheds a Crank-Nicolson front at
+    v_front = 3**0.75 / 2 * sqrt(hbar / (m dt)) straight into the window.
+    N follows from L by the same rule as ``default_config`` (the smallest
+    2**j or 3 * 2**j above 6 L k_occ / pi, at least 1024), and the step,
+    window and quadrature support are the default's.
+    """
+    cfg = default_config(scenario)
+    ctx = scenario.context
+    hbar, m, t = ctx.hbar, ctx.mass, scenario.time
+    v = scenario.mirror_velocity if scenario.mirror.kind is MirrorKind.MOVING else 0.0
+    spread = math.sqrt(hbar * t / m)
+    dt_run = t / max(math.ceil(t / cfg.time_step), 1)
+    v_front = 0.5 * 3.0**0.75 * math.sqrt(hbar / (m * dt_run))
+    reach = max(5.0 * (scenario.v_k + abs(v)), abs(v) + v_front) * t
+    big_l = abs(cfg.comparison_window[0]) + reach + 40.0 * spread
+    k_occ = scenario.k + abs(ctx.wavenumber(v)) + 10.0 / spread
+    floor = int(big_l * 6.0 * k_occ / np.pi)
+    n = 1 << max(floor.bit_length(), 10)
+    if 3 * (n >> 2) > max(floor, 1023):
+        n = 3 * (n >> 2)
+    return replace(cfg, domain_length=big_l, grid_points=n)
 
 
 def propagator_free(x, t: float, xp, tp: float, context):

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -431,11 +432,22 @@ class TestOracleCommand:
         # smaller N would under-resolve the beam, so the message names the
         # other oracle
         out = tmp_path / "cap.csv"
-        argv = "oracle --vk 1.0 --v 3.5 --t 100 --oracle grid --tolerance 1e-3 --out".split()
+        argv = "oracle --vk 1.0 --v 5 --t 100 --oracle grid --tolerance 1e-3 --out".split()
         assert main(argv + [str(out)]) == 1
         err = capsys.readouterr().err
         assert "grid_points N = 25165824" in err
         assert "--grid-points" in err and "--oracle quadrature" in err
+        assert not out.exists()
+
+    def test_grid_cap_message_shortens_a_huge_n(self, tmp_path, capsys):
+        # at t = 1e200 ms default_config sizes N as an exact 254-digit int;
+        # the message gives its leading digits and decimal exponent
+        out = tmp_path / "cap.csv"
+        argv = "oracle --vk 1 --t 1e200 --static --oracle grid --tolerance 1e-3 --out".split()
+        assert main(argv + [str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and len(err) < 300
+        assert re.search(r"grid_points N = \d\.\d{3}e\+253 is more than 16777216;", err)
         assert not out.exists()
 
     def test_small_truncation_window_passes(self, tmp_path):
