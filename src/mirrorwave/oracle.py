@@ -35,17 +35,21 @@ Two oracles, deliberately different from the closed-form route:
     e^{i w s} over such a panel to 3.6e-20 of the panel mass in exact
     arithmetic, against 1e-29 at 2 pi and 1.1e-14 at 6 pi; 8 nodes on
     panels of pi/2 err 2.3e-20 with four times the nodes).  The integrand
-    is factored once (``_Kernel``) into a row phase, exponentials
+    is factored once (``_Kernel``) into a row factor, exponentials
     e^{+-2i alpha z x'} of the mirror-frame point z = x - v t, and a
-    column phase.  The panel sum splits every node into the left edge of
-    its group of 16 panels plus an offset within the group, and each phase
-    into the matching two parts (two-level angle addition), so it
-    evaluates trig per (point, group) and per (point, offset) but none per
-    (point, node); the rest is real matrix products over cache-sized
-    blocks of points and groups.  The discarded tail (-inf, -W] of the
-    semi-infinite beam decays only algebraically (a hard-edge diffraction
-    tail ~ 1/distance), far too slowly for simple truncation at any
-    feasible W.  The same factors expand there into quadratic-phase terms
+    column phase.  The row factor is kept as its real amplitude
+    sqrt(alpha / pi) alone: its phase (the propagator's e^{-i pi/4}, the
+    chirp e^{i alpha z^2} and the Galilean boost) has modulus 1 and is
+    common to every term at a point, so it cancels in |psi|**2, the only
+    thing the oracle returns.  The panel sum splits every node into the
+    left edge of its group of 16 panels plus an offset within the group,
+    and each phase into the matching two parts (two-level angle addition),
+    so it evaluates trig per (point, group) and per (point, offset) but
+    none per (point, node); the rest is real matrix products over
+    cache-sized blocks of points and groups.  The discarded tail
+    (-inf, -W] of the semi-infinite beam decays only algebraically (a
+    hard-edge diffraction tail ~ 1/distance), far too slowly for simple
+    truncation at any feasible W.  The same factors expand there into quadratic-phase terms
     e^{i(alpha x'^2 + kappa x')}, and each term's half-line integral is a
     Fresnel integral, completed exactly on ``scipy.special.wofz`` (not on
     the package's own Faddeeva kernel, which the oracle validates).  The
@@ -79,7 +83,7 @@ from scipy.special import erfc, wofz
 
 from .analysis import DensityProfile, _grid
 from .physics import MirrorKind, Scenario, evolution_time
-from .waves import _boost, _chirp, initial_state, stream_regions
+from .waves import initial_state, stream_regions
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 # the panel sum takes the panels in groups of _GROUP (256 nodes), so its
@@ -142,9 +146,19 @@ class OracleConfig:
             raise ValueError("time_step must be > 0")
         if not (math.isfinite(self.truncation_window) and self.truncation_window >= 0):
             raise ValueError("truncation_window must be >= 0")
-        lo, hi = self.comparison_window
-        if not lo < hi:
-            raise ValueError("comparison_window must satisfy x_lo < x_hi")
+        _window(self.comparison_window)
+
+
+def _window(comparison_window) -> tuple[float, float]:
+    """The comparison window's ends (x_lo, x_hi) as floats.
+
+    The one window rule of ``OracleConfig`` and ``default_config``: ends that
+    are not finite with x_lo < x_hi raise ``ValueError``.
+    """
+    lo, hi = (float(x) for x in comparison_window)
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise ValueError(f"comparison_window must have finite ends x_lo < x_hi (got ({lo}, {hi}))")
+    return lo, hi
 
 
 def _check_wall(scenario: Scenario, x: float, what: str) -> None:
@@ -272,7 +286,7 @@ def default_config(scenario: Scenario, comparison_window: tuple | None = None) -
             comparison_window = (-(scenario.front + 20.0 * spread), 0.0)
         else:
             comparison_window = (-scenario.front, 1.05 * v_k * t)
-    x_lo, x_hi = comparison_window
+    x_lo, x_hi = _window(comparison_window)
     # Crank-Nicolson phase budget: the fastest modes belong to the
     # counter-propagating component, whose amplitude inside the window
     # falls off as the Moshinsky tail beyond x_minus = -v_k t; scale the
@@ -352,7 +366,7 @@ def default_config(scenario: Scenario, comparison_window: tuple | None = None) -
         grid_points=n,
         time_step=dt,
         truncation_window=trunc,
-        comparison_window=(float(x_lo), float(x_hi)),
+        comparison_window=(x_lo, x_hi),
     )
 
 
@@ -457,16 +471,19 @@ class _Kernel(NamedTuple):
                                * e^{i(alpha x'^2 - beta x')} * 2i sin(k x'),
 
     where row = pref * boost(x) * e^{i alpha z^2} holds the free-propagator
-    prefactor pref and the Galilean boost phase.  The free kernel
-    pref e^{i alpha (x - x')^2} of sudden removal (v = 0) is the direct
-    term alone, ``modes`` = ((-1, 1),); the moving-wall kernel subtracts
-    its image about the wall, ((-1, 1), (+1, -1)).
+    prefactor pref = sqrt(alpha / pi) e^{-i pi/4} and the Galilean boost
+    phase.  Only its modulus ``amp`` = |row| = sqrt(alpha / pi) is kept:
+    the rest has modulus 1 and multiplies every term at x_i alike, so it
+    cancels in |psi|**2, the only thing the oracle returns.  The free
+    kernel pref e^{i alpha (x - x')^2} of sudden removal (v = 0) is the
+    direct term alone, ``modes`` = ((-1, 1),); the moving-wall kernel
+    subtracts its image about the wall, ((-1, 1), (+1, -1)).
     """
 
     alpha: float
     k: float
     z: np.ndarray
-    row: np.ndarray
+    amp: float
     modes: tuple
     scales: _Scales
 
@@ -475,15 +492,12 @@ def _kernel(scenario: Scenario, xs) -> _Kernel:
     """Factor the superposition integrand at the evaluation points ``xs``."""
     ctx = scenario.context
     sc = _scales(scenario)
-    hbar, m, t = ctx.hbar, ctx.mass, sc.t
-    alpha = m / (2.0 * hbar * t)
-    pref = np.sqrt(m / (2.0 * np.pi * hbar * t)) * np.exp(-0.25j * np.pi)
+    alpha = ctx.mass / (2.0 * ctx.hbar * sc.t)
     if scenario.mirror.kind is MirrorKind.SUDDEN_REMOVAL:
         modes, z = ((-1, 1.0),), xs
     else:
         modes, z = ((-1, 1.0), (1, -1.0)), xs - scenario.mirror_position
-    row = pref * _boost(xs, t, sc.v, ctx) * _chirp(z, t, ctx)
-    return _Kernel(alpha, scenario.k, z, row, modes, sc)
+    return _Kernel(alpha, scenario.k, z, math.sqrt(alpha / math.pi), modes, sc)
 
 
 def _tail(alpha, kappa, b):
@@ -531,7 +545,9 @@ def _panel_sum(kern: _Kernel, w_len: float, n_panels: int):
     directly from its own phase (no recurrence), so no rounding
     accumulates.  Rows and groups are worked in blocks, in preallocated
     buffers of at most ``_BLOCK_SIZE`` doubles each; the nodes past the
-    last panel, in the last group, carry zero weight.
+    last panel, in the last group, carry zero weight.  The sum is returned
+    times the row amplitude ``amp``, so it is the integral up to the
+    unimodular row phase that |psi|**2 drops.
     """
     alpha, k, beta = kern.alpha, kern.k, kern.scales.beta
     c_cos = sum(a for _, a in kern.modes)
@@ -591,7 +607,7 @@ def _panel_sum(kern: _Kernel, w_len: float, n_panels: int):
             m = np.matmul(cs[:, None, :, None, :], prod.reshape(1, 2, r, nb, 2))
             m = m[..., 0, 0] + 1j * m[..., 0, 1]
             acc[i0 : i0 + r] += c_cos * (m[0, 0] - m[1, 1]) + c_sin * (m[1, 0] + m[0, 1])
-    return kern.row * acc
+    return kern.amp * acc
 
 
 def evolve_quadrature(
@@ -614,8 +630,6 @@ def evolve_quadrature(
     an ``xs`` that is not a strictly increasing, finite 1-D grid raises the
     ``ValueError`` of ``DensityProfile``, before any quadrature work.
     """
-    ctx = scenario.context
-    hbar, m = ctx.hbar, ctx.mass
     w_len = config.truncation_window
     xs = np.asarray(xs, dtype=float)
     if xs.size == 0:
@@ -645,21 +659,23 @@ def evolve_quadrature(
     # the 64 pi (~200) radians a group spans; each part carries a rounding
     # error of order eps times its own magnitude, so a node's phase error
     # stays within about eps times that bound, as when the phase was formed
-    # per node, and maps into amplitude error
+    # per node, and maps into amplitude error through the kernel's mass on
+    # [-W, 0], at most 2 amp W with amp = sqrt(alpha / pi) the modulus of
+    # the kernel's row factor, the only part of it the panel sum keeps
     phase_max = alpha * (max_off + w_len) ** 2 + sc.band * w_len
-    abs_kernel_mass = 2.0 * np.sqrt(m / (2.0 * np.pi * hbar * t)) * w_len
+    abs_kernel_mass = 2.0 * kern.amp * w_len
     n_terms = 2 * len(kern.modes)
     roundoff = np.finfo(float).eps * (1.0 + phase_max) * abs_kernel_mass * n_terms
     est_amp = np.full(xs.shape, roundoff)
 
     # exact completion of the (-inf, -W] tail: the factored integrand
-    # expands into terms row_i * c * e^{i(alpha x'^2 + kappa x')} with
+    # expands into terms amp * c * e^{i(alpha x'^2 + kappa x')} with
     # kappa = s 2 alpha z_i +- k - beta, each adding its rounding bound
     for s, a in kern.modes:
         for sk, c in ((k, a), (-k, -a)):
             kappa = s * 2.0 * alpha * kern.z + sk - beta
             val, rel = _tail(alpha, kappa, -w_len)
-            term = kern.row * c * val
+            term = kern.amp * c * val
             psi += term
             est_amp += rel * np.abs(term)
     dens = np.abs(psi) ** 2

@@ -100,7 +100,11 @@ def _moshinsky(x, k, t: float, context: PhysicalContext, chirp):
     val = 0.5 * chirp * faddeeva(z_ray)
     lit = u >= 0.0
     x_ld = np.broadcast_to(x, lit.shape)[lit].astype(np.longdouble)
-    if np.ndim(k) == 0:  # the same long-double operations, on a scalar k
+    # a fast path, bitwise equal to the general one: a scalar k (every
+    # wavefunction's case) forms the kinetic term hbar k^2 t / 2m once, not
+    # per lit point, and copies no broadcast k; the general path alone made
+    # a 2e5-point moving-mirror profile ~7% slower
+    if np.ndim(k) == 0:
         k_ld = np.longdouble(k)
     else:
         k_ld = np.broadcast_to(k, lit.shape)[lit].astype(np.longdouble)

@@ -8,7 +8,7 @@ from dataclasses import replace
 from hypothesis import given, seed, settings, strategies as st
 from scipy.fft import dst
 
-from mirrorwave import oracle
+from mirrorwave import oracle, waves
 from mirrorwave.analysis import profile
 from mirrorwave.oracle import (
     OracleConfig,
@@ -125,6 +125,28 @@ class TestConfigGuards:
                 OracleConfig(1e-4, 1024, bad, 1e-4, (-1e-5, 1e-5))
             with pytest.raises(ValueError, match="truncation_window must be >= 0"):
                 OracleConfig(1e-4, 1024, 1e-8, bad, (-1e-5, 1e-5))
+
+    @pytest.mark.parametrize(
+        "window",
+        [(-np.inf, 0.0), (np.nan, 0.0), (-1e-5, np.inf)],
+        ids=["lo-inf", "lo-nan", "hi-inf"],
+    )
+    def test_non_finite_window_rejected(self, window):
+        # one rule for both, and default_config applies it before it sizes
+        # the grid from x_lo
+        with pytest.raises(ValueError, match="comparison_window must have finite ends"):
+            OracleConfig(1e-4, 1024, 1e-8, 1e-4, window)
+        laws = [
+            MirrorLaw.moving(0.005),
+            MirrorLaw.moving(-0.004),
+            MirrorLaw.moving(0.013),
+            MirrorLaw.static(),
+            MirrorLaw.sudden_removal(),
+        ]
+        for law in laws:
+            s = Scenario(CTX, K1, law, 5e-3)
+            with pytest.raises(ValueError, match="comparison_window must have finite ends"):
+                default_config(s, comparison_window=window)
 
 
 class TestGridOracle:
@@ -432,7 +454,14 @@ class TestQuadratureOracle:
         else:
             kern = reference.propagator_free(xs[:, None], t, nodes[None, :], 0.0, CTX)
         want = kern @ (weights * 2j * np.sin(K1 * nodes))
-        got = _panel_sum(_kernel(s, xs), w_len, n_panels)
+        # the panel sum keeps only the modulus of the row factor; restore
+        # the unimodular rest, e^{-i pi/4} times the boost and the chirp
+        factored = _kernel(s, xs)
+        v = law.velocity if law.kind is MirrorKind.MOVING else 0.0
+        row_phase = (
+            np.exp(-0.25j * np.pi) * waves._boost(xs, t, v, CTX) * waves._chirp(factored.z, t, CTX)
+        )
+        got = _panel_sum(factored, w_len, n_panels) * row_phase
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_blocked_panel_sum_matches_single_block(self, monkeypatch):
