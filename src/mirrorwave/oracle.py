@@ -41,25 +41,28 @@ Two oracles, deliberately different from the closed-form route:
     sqrt(alpha / pi) alone: its phase (the propagator's e^{-i pi/4}, the
     chirp e^{i alpha z^2} and the Galilean boost) has modulus 1 and is
     common to every term at a point, so it cancels in |psi|**2, the only
-    thing the oracle returns.  The panel sum splits every node into the
-    left edge of its group of 16 panels plus an offset within the group,
-    and each phase into the matching two parts (two-level angle addition),
-    so it evaluates trig per (point, group) and per (point, offset) but
-    none per (point, node); the rest is real matrix products over
-    cache-sized blocks of points and groups.  The discarded tail
-    (-inf, -W] of the semi-infinite beam decays only algebraically (a
-    hard-edge diffraction tail ~ 1/distance), far too slowly for simple
-    truncation at any feasible W.  The same factors expand there into quadratic-phase terms
+    thing the oracle returns.  The panel sum measures every node from the
+    centre of its group of 16 panels, so a group's 256 nodes form 128 pairs
+    of offsets +-o, and cos being even and sin odd, each pair enters the
+    offset sums once (as col(o) + col(-o) against cos, col(o) - col(-o)
+    against sin).  It evaluates trig per (point, group) and per (point,
+    panel or node offset) but none per (point, node); the rest is two real
+    matrix products over the positive offsets, in cache-sized blocks of
+    points and groups.  The discarded tail (-inf, -W] of the semi-infinite
+    beam decays only algebraically (a hard-edge diffraction tail ~
+    1/distance), far too slowly for simple truncation at any feasible W.
+    The same factors expand there into quadratic-phase terms
     e^{i(alpha x'^2 + kappa x')}, and each term's half-line integral is a
     Fresnel integral, completed exactly on ``scipy.special.wofz`` (not on
     the package's own Faddeeva kernel, which the oracle validates).  The
     reported estimate bounds the rounding of the panel sum and of the
     completed tail.
 
-Each oracle forms the mirror-frame initial boost e^{-i m v y / hbar} in
-float64 within its own route (``np.exp`` in ``evolve_grid``, the column
-phase alpha x'^2 - beta x' in ``_panel_sum``); the long-double lab-frame
-boost ``waves._boost`` would make a validation run ~6% slower.
+Each oracle forms the mirror-frame initial boost e^{-i m v y / hbar}
+within its own route (``np.exp`` in ``evolve_grid``, the column phase
+alpha x'^2 - beta x' in ``_panel_sum``, whose per-group part is reduced
+mod 2 pi in long double); the long-double lab-frame boost
+``waves._boost`` would make a validation run ~6% slower.
 
 The ``OracleConfig`` guards keep both oracles honest: the domain must be
 deep enough that the artificial left edge cannot influence the
@@ -83,31 +86,37 @@ from scipy.special import erfc, wofz
 
 from .analysis import DensityProfile, _grid
 from .physics import MirrorKind, Scenario, evolution_time
+from .specialfn import TWO_PI_LD
 from .waves import initial_state, stream_regions
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
-# the panel sum takes the panels in groups of _GROUP (256 nodes), so its
-# trig runs per (point, group) and per (point, node offset in a group)
+# the panel sum takes the panels in groups of _GROUP (256 nodes) and
+# measures each node from its group's centre, so the offsets pair as +-o
+# and its trig runs per (point, group) and per (point, panel or node
+# offset right of the centre)
 _GROUP = 16
 # the panel sum works through blocks of rows and groups in work buffers of
 # at most _BLOCK_SIZE doubles (512 KiB) each, small enough to stay in a
-# core's L2 cache, so its work memory does not grow with the panel count
+# core's L2 cache, so its work memory does not grow with the panel count;
+# a group's 128 offset pairs take 512 doubles per buffer (col(+-o), and
+# their sum and difference), so a block holds _BLOCK_SIZE // 512 groups,
+# and as many rows
 _BLOCK_SIZE = 1 << 16
 # the most panels a quadrature run may take (2**30 nodes): default
 # configurations need at most ~1.6e5 (v_k 1 cm/s, v 3 cm/s, t 100 ms), so
 # this leaves ~400x headroom
 _MAX_PANELS = 1 << 26
-# the most grid intervals a grid run may take: default configurations need
-# at most 2**21 over v_k 0.1-1 cm/s, t 1-100 ms and v <= 1.5 v_k (2**23 at
-# v = 3 v_k, t 100 ms, 3 * 2**22 at v = 3.5 v_k, and 3 * 2**23 past the cap
-# at v = 5 v_k, each at v_k 1 cm/s); a run holds ~90 bytes per interval,
-# ~1.5 GB at the cap
 # the grid oracle's margins, in Moshinsky spreads sqrt(hbar t / m): its
 # taper sits _GRID_MARGIN past the window's domain of dependence, with an
 # erfc edge _TAPER_WIDTH wide, and its box keeps the wall's Crank-Nicolson
 # front _GRID_MARGIN short of the window (``default_config``)
 _GRID_MARGIN = 40.0
 _TAPER_WIDTH = 4.0
+# the most grid intervals a grid run may take: default configurations need
+# at most 2**21 over v_k 0.1-1 cm/s, t 1-100 ms and v <= 1.5 v_k (2**23 at
+# v = 3 v_k, t 100 ms, 3 * 2**22 at v = 3.5 v_k, and 3 * 2**23 past the cap
+# at v = 5 v_k, each at v_k 1 cm/s); a run holds ~90 bytes per interval,
+# ~1.5 GB at the cap
 _MAX_GRID_POINTS = 1 << 24
 
 
@@ -528,77 +537,117 @@ def _panel_sum(kern: _Kernel, w_len: float, n_panels: int):
     The support is cut into ``n_panels`` equal panels of 16 nodes each.
     sum_s a_s e^{i s theta} = (sum_s a_s) cos(theta) + i (sum_s s a_s) sin(theta)
     with theta = 2 alpha z_i x', applied to the column factors
-    w e^{i(alpha x'^2 - beta x')} 2i sin(k x').  Two-level angle addition
-    keeps trig off the (row, node) pairs: the panels are taken in groups of
-    ``_GROUP``, every node is x' = base_b + o with base_b the left edge of
-    its group and o one of the group's node offsets, and
+    col = w e^{i(alpha x'^2 - beta x')} 2i sin(k x').  The panels are taken
+    in groups of ``_GROUP``, and every node is x' = g_b + o with g_b the
+    centre of its group.  The offsets come in pairs +-o, o = P + N with P
+    one of the 8 panel centres right of g_b and N one of the 16
+    Gauss-Legendre nodes of a panel.  With G = 2 alpha z_i g_b and
+    O = 2 alpha z_i o,
 
         cos(G + O) = cos G cos O - sin G sin O,
         sin(G + O) = sin G cos O + cos G sin O,
 
-    with G = 2 alpha z_i base_b and O = 2 alpha z_i o.  The offset sums
-    sum_o {cos, sin}(O) col are one real matrix product per block, and the
-    group sum is a row-wise dot with cos G and sin G, so trig runs on
-    rows x (groups + offsets) instead of rows x nodes.  The column phase
-    splits the same way, into alpha b^2 - beta b per group and
-    (2 alpha b - beta) o + alpha o^2 per node.  Each factor is evaluated
-    directly from its own phase (no recurrence), so no rounding
+    and since cos is even and sin odd, the offset sums run over o > 0 only:
+
+        sum_o cos(O) col(o) = sum_{o>0} cos(O) [col(o) + col(-o)],
+        sum_o sin(O) col(o) = sum_{o>0} sin(O) [col(o) - col(-o)],
+
+    two real matrix products per block over the 128 positive offsets.  cos O
+    and sin O come from the 8 panel phases and the 16 node phases by angle
+    addition, and the group sum is a row-wise dot with cos G and sin G, so
+    trig runs on rows x (groups + 24) instead of rows x nodes.  The column
+    phase splits into alpha g_b^2 - beta g_b per group, c_b o with
+    c_b = 2 alpha g_b - beta per positive offset and group (e^{-i c_b o} is
+    the conjugate of e^{i c_b o}), and alpha o^2 per offset; sin(k(g_b +- o))
+    is taken by angle addition from k g_b and k o.  The two per-group
+    column phases, alpha g_b^2 - beta g_b and k g_b, are formed and reduced
+    mod 2 pi in long double: in float64 each would carry eps times its size
+    (up to ~1e4 rad) into all 256 nodes of its group alike.  Each factor is
+    evaluated directly from its own phase (no recurrence), so no rounding
     accumulates.  Rows and groups are worked in blocks, in preallocated
-    buffers of at most ``_BLOCK_SIZE`` doubles each; the nodes past the
-    last panel, in the last group, carry zero weight.  The sum is returned
-    times the row amplitude ``amp``, so it is the integral up to the
-    unimodular row phase that |psi|**2 drops.
+    buffers of at most ``_BLOCK_SIZE`` doubles each.  The last group's
+    panels at or past ``n_panels`` carry zero weight: the +o side holds its
+    panels 8-15 and the -o side its panels 7-0, so each side is zeroed by
+    its own panel index.  The sum is returned times the row amplitude
+    ``amp``, so it is the integral up to the unimodular row phase that
+    |psi|**2 drops.
     """
     alpha, k, beta = kern.alpha, kern.k, kern.scales.beta
     c_cos = sum(a for _, a in kern.modes)
     c_sin = 1j * sum(s * a for s, a in kern.modes)
     halfw = 0.5 * w_len / n_panels
-    n_gl = _GL_NODES.size
-    n_off = _GROUP * n_gl
-    offs = (halfw * (2.0 * np.arange(_GROUP)[:, None] + 1.0 + _GL_NODES)).ravel()
-    alpha_o2 = (alpha * offs * offs)[:, None]
-    wts = np.tile(halfw * _GL_WEIGHTS, _GROUP)[:, None]
+    n_gl, half = _GL_NODES.size, _GROUP // 2
+    n_pos = half * n_gl
+    pan = halfw * (2.0 * np.arange(half) + 1.0)
+    node = halfw * _GL_NODES
+    offs = (pan[:, None] + node).ravel()
+    # the column parts that do not depend on the group: w e^{i alpha o^2} 2i
+    # times cos(k o) and times sin(k o)
+    chirp = 2j * np.tile(halfw * _GL_WEIGHTS, half) * np.exp(1j * alpha * offs * offs)
+    chirp_cos, chirp_sin = chirp * np.cos(k * offs), chirp * np.sin(k * offs)
     n_groups = -(-n_panels // _GROUP)
+    n_last = n_panels - (n_groups - 1) * _GROUP
     group_len = 2.0 * _GROUP * halfw
     z2 = 2.0 * alpha * kern.z
+    alpha_ld, beta_ld, k_ld = (np.longdouble(c) for c in (alpha, beta, k))
 
-    per = max(1, _BLOCK_SIZE // (2 * n_off))
+    per = max(1, _BLOCK_SIZE // (4 * n_pos))
     rows, groups = min(z2.size, per), min(n_groups, per)
-    ph_buf = np.empty(n_off * groups)
-    col_buf = np.empty(n_off * groups, dtype=complex)
-    trig_buf = np.empty(2 * rows * n_off)
+    ph_buf = np.empty(n_pos * groups)
+    side_buf = np.empty(2 * n_pos * groups, dtype=complex)
+    pair_buf = np.empty(2 * n_pos * groups, dtype=complex)
+    trig_buf = np.empty(3 * rows * n_pos)
     prod_buf = np.empty(4 * rows * groups)
     cs_buf = np.empty(2 * rows * groups)
     acc = np.zeros(z2.size, dtype=complex)
     for b0 in range(0, n_groups, groups):
         nb = min(groups, n_groups - b0)
-        gb = -w_len + group_len * np.arange(b0, b0 + nb)
-        ph = ph_buf[: n_off * nb].reshape(n_off, nb)
-        col = col_buf[: n_off * nb].reshape(n_off, nb)
-        # column factors w e^{i(alpha x'^2 - beta x')} 2i sin(k x')
+        gb = -w_len + group_len * (np.arange(b0, b0 + nb) + 0.5)
+        ph = ph_buf[: n_pos * nb].reshape(n_pos, nb)
+        # col(o) and col(-o), then col(o) + col(-o) and col(o) - col(-o)
+        side = side_buf[: 2 * n_pos * nb].reshape(2, n_pos, nb)
+        pair = pair_buf[: 2 * n_pos * nb].reshape(2, n_pos, nb)
+        # e^{i c_b o} on the +o side, its conjugate on the -o side
         np.multiply.outer(offs, 2.0 * alpha * gb - beta, out=ph)
-        ph += alpha_o2
-        np.cos(ph, out=col.real)
-        np.sin(ph, out=col.imag)
-        col *= 2j * np.exp(1j * gb * (alpha * gb - beta))
-        np.add.outer(offs, gb, out=ph)
-        ph *= k
-        np.sin(ph, out=ph)
-        ph *= wts
-        col *= ph
+        np.cos(ph, out=side[0].real)
+        np.sin(ph, out=side[0].imag)
+        np.conjugate(side[0], out=side[1])
+        # times w e^{i alpha o^2} 2i e^{i(alpha g_b^2 - beta g_b)} sin(k(g_b +- o)),
+        # with sin(k(g_b +- o)) = sin(k g_b) cos(k o) +- cos(k g_b) sin(k o);
+        # the two group phases are reduced mod 2 pi in long double
+        g_ld = gb.astype(np.longdouble)
+        ph_g = np.stack([g_ld * (alpha_ld * g_ld - beta_ld), k_ld * g_ld])
+        ph_g = (ph_g - TWO_PI_LD * np.rint(ph_g / TWO_PI_LD)).astype(float)
+        e_g = np.exp(1j * ph_g[0])
+        np.multiply.outer(chirp_cos, e_g * np.sin(ph_g[1]), out=pair[0])
+        np.multiply.outer(chirp_sin, e_g * np.cos(ph_g[1]), out=pair[1])
+        side[0] *= pair[0] + pair[1]
+        pair[0] -= pair[1]
+        side[1] *= pair[0]
         if b0 + nb == n_groups:
-            col[(n_panels - (n_groups - 1) * _GROUP) * n_gl :, nb - 1] = 0.0
+            side[0, max(n_last - half, 0) * n_gl :, nb - 1] = 0.0
+            side[1, : max(half - n_last, 0) * n_gl, nb - 1] = 0.0
+        np.add(side[0], side[1], out=pair[0])
+        np.subtract(side[0], side[1], out=pair[1])
         for i0 in range(0, z2.size, rows):
             zi = z2[i0 : i0 + rows]
             r = zi.size
-            # cos O stacked over sin O, then sum_o {cos, sin}(O) col as
-            # (cos/sin, row, group, re/im)
-            trig = trig_buf[: 2 * r * n_off].reshape(2 * r, n_off)
-            np.multiply.outer(zi, offs, out=trig[:r])
-            np.sin(trig[:r], out=trig[r:])
-            np.cos(trig[:r], out=trig[:r])
-            prod = prod_buf[: 4 * r * nb].reshape(2 * r, 2 * nb)
-            np.matmul(trig, col.view(float), out=prod)
+            # cos O and sin O by angle addition from the panel and node
+            # phases, offsets first, so the rows run along the inner loop
+            trig = trig_buf[: 3 * r * n_pos].reshape(3, half, n_gl, r)
+            p_ph, n_ph = np.multiply.outer(pan, zi), np.multiply.outer(node, zi)
+            cp, sp = np.cos(p_ph)[:, None], np.sin(p_ph)[:, None]
+            cn, sn = np.cos(n_ph), np.sin(n_ph)
+            np.multiply(cp, cn, out=trig[0])
+            np.multiply(sp, sn, out=trig[2])
+            trig[0] -= trig[2]
+            np.multiply(sp, cn, out=trig[1])
+            np.multiply(cp, sn, out=trig[2])
+            trig[1] += trig[2]
+            # sum_o cos(O) col over sum_o sin(O) col as (cos/sin, row, group, re/im)
+            prod = prod_buf[: 4 * r * nb].reshape(2, r, 2 * nb)
+            np.matmul(trig[0].reshape(n_pos, r).T, pair[0].view(float), out=prod[0])
+            np.matmul(trig[1].reshape(n_pos, r).T, pair[1].view(float), out=prod[1])
             cs = cs_buf[: 2 * r * nb].reshape(2, r, nb)
             np.multiply.outer(zi, gb, out=cs[0])
             np.sin(cs[0], out=cs[1])
@@ -654,14 +703,18 @@ def evolve_quadrature(
     psi = _panel_sum(kern, w_len, n_panels)
 
     # round-off floor of the panel sum: it assembles each node's phase
-    # from per-group parts, whose magnitudes add up to at most
-    # alpha*(|x|+W)**2 + kappa*W radians, and per-offset parts of at most
-    # the 64 pi (~200) radians a group spans; each part carries a rounding
-    # error of order eps times its own magnitude, so a node's phase error
-    # stays within about eps times that bound, as when the phase was formed
-    # per node, and maps into amplitude error through the kernel's mass on
-    # [-W, 0], at most 2 amp W with amp = sqrt(alpha / pi) the modulus of
-    # the kernel's row factor, the only part of it the panel sum keeps
+    # from per-group parts, taken at the group's centre, whose magnitudes
+    # add up to at most alpha*(|x|+W)**2 + kappa*W radians, and per-offset
+    # parts, measured from that centre, of at most the 32 pi (~100) radians
+    # half a group spans (8 panels of at most 4 pi each; a partial last
+    # group's centre lies up to 8 such panels past 0, which raises its own
+    # parts by the same order); each part carries a rounding error of order
+    # eps times its own magnitude (the column's per-group parts, formed in
+    # long double, less), so a node's phase error stays within about eps
+    # times that bound, as when the phase was formed per node, and maps
+    # into amplitude error through the kernel's mass on [-W, 0], at most
+    # 2 amp W with amp = sqrt(alpha / pi) the modulus of the kernel's row
+    # factor, the only part of it the panel sum keeps
     phase_max = alpha * (max_off + w_len) ** 2 + sc.band * w_len
     abs_kernel_mass = 2.0 * kern.amp * w_len
     n_terms = 2 * len(kern.modes)

@@ -433,20 +433,25 @@ class TestQuadratureOracle:
             assert np.all(err <= res.truncation_estimate), law
             assert not res.flagged, law
 
-    @pytest.mark.parametrize(
-        "law",
-        [MirrorLaw.moving(0.005), MirrorLaw.moving(-0.004), MirrorLaw.sudden_removal()],
-        ids=["receding", "approaching", "sudden"],
-    )
-    def test_factored_kernel_matches_unfactored(self, law):
-        # 2500 panels = 156 groups of 16 and a partial group of 4
+    @staticmethod
+    def _panel_and_direct_sums(law, n_panels, default_width=False):
+        """``_panel_sum`` and the direct node sum on the reference propagators,
+        at 41 points of a 5 ms scenario.  The support is the default W, cut
+        into ``n_panels`` panels, or with ``default_width`` that many panels
+        of the width ``evolve_quadrature`` takes on the default W."""
         t = 5e-3
         s = Scenario(CTX, K1, law, t)
         w_len = default_config(s).truncation_window
-        n_panels = 2500
-        nodes, weights = _gl_panels(w_len, n_panels)
         x_hi = s.mirror_position if law.kind is MirrorKind.MOVING else 0.005 * t
         xs = np.linspace(-0.5 * CTX.velocity(K1) * t, x_hi, 41)
+        v = law.velocity if law.kind is MirrorKind.MOVING else 0.0
+        if default_width:
+            alpha = CTX.mass / (2.0 * CTX.hbar * t)
+            dphi_max = 2.0 * alpha * (np.abs(xs).max() + abs(v) * t + w_len) + K1 + abs(
+                CTX.wavenumber(v)
+            )
+            w_len *= n_panels / math.ceil(w_len * dphi_max / (4.0 * np.pi))
+        nodes, weights = _gl_panels(w_len, n_panels)
         if law.kind is MirrorKind.MOVING:
             kern = reference.propagator_moving_wall(
                 xs[:, None], t, nodes[None, :], 0.0, law.velocity, CTX
@@ -457,11 +462,34 @@ class TestQuadratureOracle:
         # the panel sum keeps only the modulus of the row factor; restore
         # the unimodular rest, e^{-i pi/4} times the boost and the chirp
         factored = _kernel(s, xs)
-        v = law.velocity if law.kind is MirrorKind.MOVING else 0.0
         row_phase = (
             np.exp(-0.25j * np.pi) * waves._boost(xs, t, v, CTX) * waves._chirp(factored.z, t, CTX)
         )
-        got = _panel_sum(factored, w_len, n_panels) * row_phase
+        return _panel_sum(factored, w_len, n_panels) * row_phase, want
+
+    @pytest.mark.parametrize(
+        "law",
+        [MirrorLaw.moving(0.005), MirrorLaw.moving(-0.004), MirrorLaw.sudden_removal()],
+        ids=["receding", "approaching", "sudden"],
+    )
+    def test_factored_kernel_matches_unfactored(self, law):
+        # 2500 panels = 156 groups of 16 and a partial group of 4
+        got, want = self._panel_and_direct_sums(law, 2500)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("n_panels", [1, 7, 8, 9, 15, 16, 17, 33])
+    @pytest.mark.parametrize(
+        "law", [MirrorLaw.moving(0.005), MirrorLaw.sudden_removal()], ids=["receding", "sudden"]
+    )
+    def test_partial_last_group_matches_direct_sum(self, law, n_panels):
+        # the panel sum pairs the offsets +-o about each group's centre, so
+        # the last group's missing panels are zeroed on both sides of it:
+        # panels 8-15 right of the centre, 7-0 left of it; these counts
+        # leave 1, 7, 8, 9, 15, 16 and 1 panels in the last group.  The
+        # panels have the width evolve_quadrature takes (4 pi of phase at
+        # most): cut from the whole default W, each would span up to 1e4
+        # times that, where even a per-node phase rounds past 1e-12
+        got, want = self._panel_and_direct_sums(law, n_panels, default_width=True)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_blocked_panel_sum_matches_single_block(self, monkeypatch):
