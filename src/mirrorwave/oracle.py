@@ -59,10 +59,10 @@ Two oracles, deliberately different from the closed-form route:
     completed tail.
 
 Each oracle forms the mirror-frame initial boost e^{-i m v y / hbar}
-within its own route (``np.exp`` in ``evolve_grid``, the column phase
-alpha x'^2 - beta x' in ``_panel_sum``, whose per-group part is reduced
-mod 2 pi in long double); the long-double lab-frame boost
-``waves._boost`` would make a validation run ~6% slower.
+within its own route (the phase tables of ``_table_state`` in
+``evolve_grid``, the column phase alpha x'^2 - beta x' in ``_panel_sum``,
+whose per-group part is reduced mod 2 pi in long double); the long-double
+lab-frame boost ``waves._boost`` would make a validation run ~6% slower.
 
 The ``OracleConfig`` guards keep both oracles honest: the domain must be
 deep enough that the artificial left edge cannot influence the
@@ -87,7 +87,7 @@ from scipy.special import erfc, wofz
 from .analysis import DensityProfile, _grid
 from .physics import MirrorKind, Scenario, evolution_time
 from .specialfn import TWO_PI_LD
-from .waves import initial_state, stream_regions
+from .waves import stream_regions
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 # the panel sum takes the panels in groups of _GROUP (256 nodes) and
@@ -379,26 +379,53 @@ def default_config(scenario: Scenario, comparison_window: tuple | None = None) -
     )
 
 
+def _table_state(n: int, half_periods: int, k: float, beta: float, big_l: float) -> np.ndarray:
+    """The mirror-frame initial state 2i sin(k y) e^{-i beta y} on the grid
+    y_j = -L + j dy, dy = L / n, j = 1..n-1, from phase tables.
+
+    With k L = ``half_periods`` pi it is
+    +-2i Im(e^{i j k dy}) e^{i beta L} e^{-i j beta dy}, the sign
+    (-1)**half_periods.  Each exponential is the outer product of a coarse
+    table, at the multiples c of a fine length near sqrt(n), and a fine
+    table, at 0 <= f below it, so the trig runs on ~2 sqrt(n) points, not
+    on n; Im(e^{i(A + B)}) = sin A cos B + cos A sin B, and the constant
+    +-2i e^{i beta L} rides on the coarse boost table.
+    """
+    dy = big_l / n
+    fine = 1 << (n.bit_length() // 2)
+    j_f, j_c = np.arange(fine), np.arange(0, n, fine)
+    a_f, a_c = (k * dy) * j_f, (k * dy) * j_c
+    sine = np.multiply.outer(np.sin(a_c), np.cos(a_f))
+    sine += np.multiply.outer(np.cos(a_c), np.sin(a_f))
+    lead = (-2j if half_periods % 2 else 2j) * np.exp(1j * beta * (big_l - dy * j_c))
+    state = np.multiply.outer(lead, np.exp(-1j * (beta * dy) * j_f))
+    state *= sine
+    return state.ravel()[1:n]
+
+
 def evolve_grid(scenario: Scenario, config: OracleConfig) -> DensityProfile:
     """Mirror-frame grid evolution; lab-frame densities on the window.
 
-    The mirror-frame initial state is multiplied by the taper
-    0.5 erfc((-y - D) / Delta), with D = |x_lo - v t| + (v_k + |v|) t + 40 s
-    and Delta = 4 s, s = sqrt(hbar t / m) (``default_config`` gives the
-    reasoning).  D follows from the scenario and the window alone, never
-    from L: the taper is 1 to round-off on the window's domain of
-    dependence whatever the box, and an overriding L short of D + 6 Delta
-    cuts the taper off, so the far wall meets the (nonzero) state as in an
-    untapered box, which the causality guard still bounds.  The box length
-    is snapped up to the next multiple of pi/k, so an untapered standing
-    wave would vanish at the far wall too.  The n-step Crank-Nicolson
-    product rho**n is applied in its exact closed form
-    exp(-2i n atan(w dt/2)), one multiply per mode.  The norm of the
-    evolved state is checked in real space, after the inverse transform:
-    drift beyond 1e-8 from the initial state raises ``OracleNumericalError``.
-    More than ``_MAX_GRID_POINTS`` grid intervals, or a window that holds
-    fewer than 2 grid points, raise ``OracleConfigError`` before any
-    transform.
+    The mirror-frame initial state 2i sin(k y) e^{-i beta y} comes from
+    phase tables of ~sqrt(N) points (``_table_state``), and is multiplied
+    by the taper 0.5 erfc((-y - D) / Delta), with
+    D = |x_lo - v t| + (v_k + |v|) t + 40 s and Delta = 4 s,
+    s = sqrt(hbar t / m) (``default_config`` gives the reasoning).  D
+    follows from the scenario and the window alone, never from L: the
+    taper is 1 to round-off on the window's domain of dependence whatever
+    the box, and an overriding L short of D + 6 Delta cuts the taper off,
+    so the far wall meets the (nonzero) state as in an untapered box, which
+    the causality guard still bounds.  ``erfc`` runs only on the taper's
+    edge: past it the taper rounds to exactly 1, and multiplying by 1
+    changes no value.  The box length is snapped up to the next multiple
+    of pi/k, so an untapered standing wave would vanish at the far wall
+    too.  The n-step Crank-Nicolson product rho**n is applied in its exact
+    closed form exp(-2i n atan(w dt/2)), one multiply per mode.  The norm
+    of the evolved state is checked in real space, after the inverse
+    transform: drift beyond 1e-8 from the initial state raises
+    ``OracleNumericalError``.  More than ``_MAX_GRID_POINTS`` grid
+    intervals, or a window that holds fewer than 2 grid points, raise
+    ``OracleConfigError`` before any transform.
     """
     if scenario.mirror.kind is MirrorKind.SUDDEN_REMOVAL:
         raise OracleConfigError(
@@ -432,8 +459,13 @@ def evolve_grid(scenario: Scenario, config: OracleConfig) -> DensityProfile:
         raise OracleConfigError("comparison window contains fewer than 2 grid points")
     x = x[i:j].copy()  # the profile owns its points, and the lab grid is freed
 
-    psi0 = initial_state(y, k) * np.exp(-1j * sc.beta * y)
-    psi0 *= 0.5 * erfc((-y - _taper_depth(scenario, sc, x_lo)) / (_TAPER_WIDTH * sc.spread))
+    psi0 = _table_state(n, half_periods, k, sc.beta, big_l)
+    # 0.5 erfc(a) rounds to exactly 1 for a <= -6 (it does from a = -5.86 on),
+    # and a = (-y - D) / Delta falls as y rises, so only the points below
+    # y = 6 Delta - D take the taper
+    depth, width = _taper_depth(scenario, sc, x_lo), _TAPER_WIDTH * sc.spread
+    edge = np.searchsorted(y, 6.0 * width - depth)
+    psi0[:edge] *= 0.5 * erfc((-y[:edge] - depth) / width)
     coef = dst(psi0, type=1)
 
     q = np.pi * np.arange(1, n) / big_l
@@ -571,6 +603,13 @@ def _panel_sum(kern: _Kernel, w_len: float, n_panels: int):
     its own panel index.  The sum is returned times the row amplitude
     ``amp``, so it is the integral up to the unimodular row phase that
     |psi|**2 drops.
+
+    It assumes panels cut by ``evolve_quadrature``'s 4 pi rule.  Fewer than
+    8 panels far wider than that lose accuracy: the lone group's centre
+    then lies up to 7 W past 0, and the phases formed about it are many
+    times a node's own phase.  One panel over the default W of a 5 ms
+    receding scenario (v_k 1 cm/s, v 0.5 cm/s) is 1.1e-10 off the direct
+    node sum, relative.
     """
     alpha, k, beta = kern.alpha, kern.k, kern.scales.beta
     c_cos = sum(a for _, a in kern.modes)
@@ -723,14 +762,15 @@ def evolve_quadrature(
 
     # exact completion of the (-inf, -W] tail: the factored integrand
     # expands into terms amp * c * e^{i(alpha x'^2 + kappa x')} with
-    # kappa = s 2 alpha z_i +- k - beta, each adding its rounding bound
-    for s, a in kern.modes:
-        for sk, c in ((k, a), (-k, -a)):
-            kappa = s * 2.0 * alpha * kern.z + sk - beta
-            val, rel = _tail(alpha, kappa, -w_len)
-            term = kern.amp * c * val
-            psi += term
-            est_amp += rel * np.abs(term)
+    # kappa = s 2 alpha z_i +- k - beta, each adding its rounding bound;
+    # one _tail call takes every term's kappa as a row
+    terms = [(s, sk, c) for s, a in kern.modes for sk, c in ((k, a), (-k, -a))]
+    kappas = [s * 2.0 * alpha * kern.z + sk - beta for s, sk, _ in terms]
+    vals, rels = _tail(alpha, np.stack(kappas), -w_len)
+    for (_, _, c), val, rel in zip(terms, vals, rels):
+        term = kern.amp * c * val
+        psi += term
+        est_amp += rel * np.abs(term)
     dens = np.abs(psi) ** 2
     est_dens = 2.0 * np.sqrt(dens) * est_amp + est_amp**2
 

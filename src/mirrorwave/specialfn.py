@@ -95,6 +95,17 @@ def _in_place(p):
     return p if p.size > 1 else None
 
 
+def _coeffs(values, dtype):
+    """``values`` as a tuple of 0-d arrays of ``dtype``, one per coefficient.
+
+    A series loop takes one coefficient per ufunc call, and numpy converts
+    a numpy scalar operand on every call (~290 ns) but passes a 0-d array
+    of the operation's own dtype straight to the loop, with the same
+    result bits.
+    """
+    return tuple(np.asarray(v, dtype=dtype) for v in values)
+
+
 # --- Maclaurin region -------------------------------------------------------
 
 # 1 / Gamma(n/2 + 1) for n = 0..N; generated by the recurrence
@@ -110,7 +121,7 @@ def _taylor_coeffs(n_terms):
     return inv
 
 
-_TAYLOR_INV_GAMMA = _taylor_coeffs(_TAYLOR_TERMS + 1)
+_TAYLOR_INV_GAMMA = _coeffs(_taylor_coeffs(_TAYLOR_TERMS + 1), complex)
 
 
 def _w_taylor(z):
@@ -140,7 +151,7 @@ def _weideman_table(n):
     f = np.zeros(idx.size + 1)
     f[1:] = np.exp(-t * t) * (big_l * big_l + t * t)
     a = np.fft.fft(np.fft.fftshift(f)).real / (2 * m)
-    return big_l, a[1 : n + 1][::-1]  # highest degree first
+    return big_l, _coeffs(a[1 : n + 1][::-1], complex)  # highest degree first
 
 
 _WEIDEMAN_L, _WEIDEMAN_A = _weideman_table(_WEIDEMAN_N)
@@ -149,13 +160,14 @@ _WEIDEMAN_L, _WEIDEMAN_A = _weideman_table(_WEIDEMAN_N)
 def _w_weideman(z):
     big_l = _WEIDEMAN_L
     iz = 1j * z
-    ratio = (big_l + iz) / (big_l - iz)
+    den = big_l - iz
+    ratio = (big_l + iz) / den
     p = np.zeros_like(z)
     out = _in_place(p)
     for c in _WEIDEMAN_A:
         p = np.multiply(p, ratio, out=out)
         p += c
-    return 2.0 * p / (big_l - iz) ** 2 + (1.0 / SQRT_PI) / (big_l - iz)
+    return 2.0 * p / den**2 + (1.0 / SQRT_PI) / den
 
 
 # --- asymptotic series on the arg = pi/4 ray --------------------------------
@@ -165,8 +177,8 @@ def _w_weideman(z):
 # n = 0..11 sum to R(s) - i s P(s), with R and P polynomials in s**2 whose
 # coefficients (-1)**j (4j - 1)!! and (-1)**j (4j + 1)!! are exact integers;
 # highest degree first
-_RAY_R = np.array([-654729075.0, 2027025.0, -10395.0, 105.0, -3.0, 1.0])
-_RAY_P = np.array([-13749310575.0, 34459425.0, -135135.0, 945.0, -15.0, 1.0])
+_RAY_R = _coeffs([-654729075.0, 2027025.0, -10395.0, 105.0, -3.0, 1.0], float)
+_RAY_P = _coeffs([-13749310575.0, 34459425.0, -135135.0, 945.0, -15.0, 1.0], float)
 
 
 def _w_ray(a):

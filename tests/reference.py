@@ -7,12 +7,14 @@ Fresnel power series, plus the straightforward forms of the numerical
 oracles' inner loops (the stepped Crank-Nicolson product and the
 unfactored free and moving-wall propagators) that the library replaces
 with closed-form and factored equivalents, the grid oracle's default box
-rule from before its taper, and the half-line Fresnel integral of the
-quadrature tail in 40 digits.  It also holds helpers only
-the tests use: erfc of a complex argument built on the package's
-Faddeeva kernel, the scaled Moshinsky argument z and the large-|z|
-expansion of M, the grid-oracle refinement step of convergence
-studies, and the 64-bit words of complex results for bitwise checks.
+rule from before its taper, its initial state in 30 digits, the half-line
+Fresnel integral of the quadrature tail in 40 digits, and the w(z) series
+loops on numpy-scalar coefficients that the package's 0-d coefficient
+arrays replace.  It also holds helpers only the tests use: erfc of a
+complex argument built on the package's Faddeeva kernel, the scaled
+Moshinsky argument z and the large-|z| expansion of M, the grid-oracle
+refinement step of convergence studies, and the 64-bit words of complex
+results for bitwise checks.
 """
 
 import math
@@ -25,7 +27,18 @@ from scipy.special import erfc
 
 from mirrorwave.oracle import default_config
 from mirrorwave.physics import MirrorKind
-from mirrorwave.specialfn import _EXP_OVERFLOW, SpecialFunctionOverflow, _w_upper, cis
+from mirrorwave.specialfn import (
+    _EXP_OVERFLOW,
+    _TAYLOR_TERMS,
+    _WEIDEMAN_A,
+    _WEIDEMAN_L,
+    SQRT_PI,
+    SpecialFunctionOverflow,
+    _in_place,
+    _taylor_coeffs,
+    _w_upper,
+    cis,
+)
 
 mp.mp.dps = 30
 
@@ -125,6 +138,13 @@ def plane_wave_ref(x, k, t, hbar, mass) -> complex:
     hb, m = mp.mpf(hbar), mp.mpf(mass)
     phase = k * x - hb * k * k * t / (2 * m)
     return complex(mp.expj(phase))
+
+
+def plane_state_ref(j, n, k, beta, big_l) -> complex:
+    """The grid oracle's initial state 2i sin(k y) e^{-i beta y} in 30 digits
+    at y = -L + j dy, dy = L / n rounded to float64 as the grid takes it."""
+    y = -mp.mpf(big_l) + j * mp.mpf(big_l / n)
+    return complex(2j * mp.sin(mp.mpf(k) * y) * mp.expj(-mp.mpf(beta) * y))
 
 
 def spread_gaussian_ref(x, t, sigma0, hbar, mass) -> complex:
@@ -297,6 +317,66 @@ def fresnel_series(theta):
         if n > 200:  # unreachable for |theta| <= 3
             raise RuntimeError("fresnel series failed to converge")
     return th * c_sum, u * th * s_sum
+
+
+def w_taylor_scalar(z):
+    """The Maclaurin loop of ``specialfn._w_taylor`` on numpy-scalar
+    coefficients 1 / Gamma(n/2 + 1), as it ran before they became 0-d arrays."""
+    coeffs = _taylor_coeffs(_TAYLOR_TERMS + 1)
+    iz = 1j * z
+    acc = np.full(z.shape, coeffs[0], dtype=complex)
+    p = np.ones_like(acc)
+    term = np.empty_like(acc)
+    out = _in_place(p)
+    for n in range(1, _TAYLOR_TERMS + 1):
+        p = np.multiply(p, iz, out=out)
+        np.multiply(coeffs[n], p, out=term)
+        acc += term
+    return acc
+
+
+def w_weideman_scalar(z):
+    """The Weideman loop of ``specialfn._w_weideman`` on numpy-scalar
+    coefficients, forming L - iz three times, as it ran before."""
+    big_l = _WEIDEMAN_L
+    coeffs = np.array([c.real for c in _WEIDEMAN_A])
+    iz = 1j * z
+    ratio = (big_l + iz) / (big_l - iz)
+    p = np.zeros_like(z)
+    out = _in_place(p)
+    for c in coeffs:
+        p = np.multiply(p, ratio, out=out)
+        p += c
+    return 2.0 * p / (big_l - iz) ** 2 + (1.0 / SQRT_PI) / (big_l - iz)
+
+
+def w_ray_scalar(a):
+    """The ray series of ``specialfn._w_ray`` on numpy-scalar polynomial
+    coefficients, as it ran before; overwrites ``a`` likewise."""
+    ray_r = np.array([-654729075.0, 2027025.0, -10395.0, 105.0, -3.0, 1.0])
+    ray_p = np.array([-13749310575.0, 34459425.0, -135135.0, 945.0, -15.0, 1.0])
+    g = np.divide(0.5 / SQRT_PI, a, out=a)
+    t = np.multiply(g, g)
+    t *= np.pi
+    t *= t
+    re = np.multiply(t, ray_r[0])
+    re += ray_r[1]
+    for r in ray_r[2:]:
+        re *= t
+        re += r
+    im = np.multiply(t, ray_p[0])
+    im += ray_p[1]
+    for p in ray_p[2:]:
+        im *= t
+        im += p
+    np.multiply(g, g, out=t)
+    t *= np.pi
+    im *= t
+    np.subtract(re, im, out=t)
+    re += im
+    re *= g
+    t *= g
+    return re, t
 
 
 def erfc_complex(z):

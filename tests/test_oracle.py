@@ -253,7 +253,7 @@ class TestGridOracle:
         # from L: a box just past the guard, the default box and one twice as
         # long all leave the initial state untouched (taper exactly 1) on the
         # window's domain of dependence, and wherever the box reaches depth D
-        # the taper there is 1/2
+        # the taper there is 1/2; the untapered state is the table-built one
         v_k, v, t = 0.01, 0.003, 4e-3
         s = Scenario(CTX, CTX.wavenumber(v_k), MirrorLaw.moving(v), t)
         cfg = default_config(s)
@@ -275,9 +275,10 @@ class TestGridOracle:
         evolve_grid(s, cfg)
         (psi0,) = states
         n = cfg.grid_points
-        box_l = np.ceil(big_l * s.k / np.pi) * np.pi / s.k
+        half_periods = math.ceil(big_l * s.k / np.pi)
+        box_l = half_periods * np.pi / s.k
         y = -box_l + (box_l / n) * np.arange(1, n)
-        wave = 2j * np.sin(s.k * y) * np.exp(-1j * CTX.wavenumber(v) * y)
+        wave = oracle._table_state(n, half_periods, s.k, CTX.wavenumber(v), box_l)
         inside = -y <= support
         assert inside.sum() > 100
         assert np.array_equal(psi0[inside], wave[inside])
@@ -353,15 +354,43 @@ class TestGridOracle:
         assert np.array_equal(fine.xs[idx], coarse.xs)
         assert np.abs(fine.densities[idx] - coarse.densities).max() <= 1e-5
 
+    @pytest.mark.parametrize(
+        "law, t, window",
+        [(MirrorLaw.moving(0.008), 10e-3, (-50e-6, 0.008 * 10e-3)), (MirrorLaw.static(), 6e-3, None)],
+        ids=["c06", "static"],
+    )
+    def test_table_state_matches_the_plane_state(self, law, t, window):
+        # the table-built initial state against 2i sin(k y) e^{-i beta y} on
+        # the default box, in 30 digits on every 64th point and as the float64
+        # direct formula on all of them.  Each carries the rounding of phases
+        # up to (k + |beta|) L ~ 1e4 rad, which no float64 route avoids (the
+        # direct formula is itself 3.8e-12 off the 30 digits on c06): 4.5e-12
+        # and 8.3e-12 on c06, 2.0e-12 and 3.8e-12 on the static box
+        s = Scenario(CTX, K1, law, t)
+        cfg = default_config(s, comparison_window=window)
+        beta = CTX.wavenumber(s.mirror_velocity) if law.kind is MirrorKind.MOVING else 0.0
+        half_periods = math.ceil(cfg.domain_length * s.k / np.pi)
+        big_l = half_periods * np.pi / s.k
+        n = cfg.grid_points
+        state = oracle._table_state(n, half_periods, s.k, beta, big_l)
+        assert state.shape == (n - 1,)
+        phase_eps = np.finfo(float).eps * (s.k + abs(beta)) * big_l
+        j = np.arange(1, n, 64)
+        want = [reference.plane_state_ref(int(i), n, s.k, beta, big_l) for i in j]
+        assert np.abs(state[j - 1] - want).max() <= 2.0 * phase_eps
+        y = -big_l + (big_l / n) * np.arange(1, n)
+        direct = 2j * np.sin(s.k * y) * np.exp(-1j * beta * y)
+        assert np.abs(state - direct).max() <= 4.0 * phase_eps
+
     @pytest.mark.parametrize("n", [oracle._MAX_GRID_POINTS + 1, 1 << 40])
     def test_oversized_grid_rejected_before_allocation(self, monkeypatch, n):
         s = Scenario(CTX, K1, MirrorLaw.static(), 2e-3)
         cfg = replace(default_config(s), grid_points=n)
 
         def spy(*args):
-            raise AssertionError("initial_state ran")
+            raise AssertionError("_table_state ran")
 
-        monkeypatch.setattr(oracle, "initial_state", spy)
+        monkeypatch.setattr(oracle, "_table_state", spy)
         with pytest.raises(OracleConfigError, match=f"N = {n} is more than "):
             evolve_grid(s, cfg)
 

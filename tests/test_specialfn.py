@@ -20,7 +20,17 @@ from mirrorwave.specialfn import (
     fresnel,
 )
 
-from .reference import bits, erfc_complex, erfc_ref, faddeeva_ref, fresnel_ref, fresnel_series
+from .reference import (
+    bits,
+    erfc_complex,
+    erfc_ref,
+    faddeeva_ref,
+    fresnel_ref,
+    fresnel_series,
+    w_ray_scalar,
+    w_taylor_scalar,
+    w_weideman_scalar,
+)
 
 
 def w_ray(z):
@@ -261,6 +271,28 @@ class TestRaySeries:
                     waves.psi_near_limit(xs[xs > 0.0], s)
             analysis.profile(s, xs)
             assert sum(reached) > before, name
+
+
+class TestCoefficientArrays:
+    """The series loops take each coefficient as a 0-d array of the
+    operation's dtype; on numpy-scalar coefficients they give the same bits."""
+
+    @pytest.mark.parametrize("size", [1, 2, 255, 8192])
+    def test_series_match_scalar_coefficient_loops(self, size):
+        # seeded arguments on and off the arg = pi/4 ray in each region; size
+        # 1 takes the fresh-output rule of ``specialfn._in_place``
+        rng = np.random.default_rng([2034, size])
+        regions = ((0.0, 1.8, _w_taylor, w_taylor_scalar), (1.8, 12.0, _w_weideman, w_weideman_scalar))
+        for lo, hi, series, scalar in regions:
+            r = rng.uniform(lo, hi, size)
+            on = (r / np.sqrt(2.0)) * (1.0 + 1j)
+            off = r * np.exp(1j * rng.uniform(0.0, np.pi, size))
+            assert np.all(on.real == on.imag)
+            for z in (on, off):
+                assert np.array_equal(bits(series(z)), bits(scalar(z)))
+        a = (12.0 / np.sqrt(2.0)) * (1e5 / 12.0) ** rng.uniform(0.0, 1.0, size)
+        for got, want in zip(_w_ray(a.copy()), w_ray_scalar(a.copy())):
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 class TestErfc:
