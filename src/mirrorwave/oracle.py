@@ -389,7 +389,12 @@ def _table_state(n: int, half_periods: int, k: float, beta: float, big_l: float)
     table, at the multiples c of a fine length near sqrt(n), and a fine
     table, at 0 <= f below it, so the trig runs on ~2 sqrt(n) points, not
     on n; Im(e^{i(A + B)}) = sin A cos B + cos A sin B, and the constant
-    +-2i e^{i beta L} rides on the coarse boost table.
+    +-2i e^{i beta L} rides on the coarse boost table.  The phases are
+    float64 multiples of the step k dy, rounded to eps k L as the direct
+    formula's are; a sine reduced exactly on integers is the box mode to a
+    few ulps, but it reshuffles the static-wall errors, which are this
+    rounding, so that the tapered default box no longer beats the
+    untapered rule on every seeded draw (CHANGES.md).
     """
     dy = big_l / n
     fine = 1 << (n.bit_length() // 2)
