@@ -15,6 +15,9 @@ the main fringe is the front's, so a velocity scan runs through v = v_k.
 
 from __future__ import annotations
 
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,8 +89,46 @@ def fringe_scale(scenario: Scenario) -> float:
     return float(np.sqrt(np.pi * ctx.hbar * scenario.time / ctx.mass))
 
 
-# points per block: a block's temporaries, 128 KiB each, fit in a 2 MiB L2
+# points per block: a complex or long-double temporary of a block is 128 KiB,
+# so the few that one pass of the w(z) series touches stay in a core's 1 MiB
+# L2.  With the blocks on threads, closed_form ran 1.32x as long at 4096 and
+# 0.92x at 16384, but 16384 added ~4 MB to its peak memory (BENCH_35.json)
 _BLOCK = 8192
+
+# The pool that runs profile's blocks, made by the first profile call with
+# more than one block on a process that may use more than one CPU.  Its tasks
+# evaluate one block each and never call ``profile``, so no task waits on the
+# pool and it cannot deadlock however many callers share it.
+_pool: ThreadPoolExecutor | None = None
+_pool_lock = threading.Lock()
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on (``sched_getaffinity`` is not on every OS)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _block_pool() -> ThreadPoolExecutor | None:
+    """The block pool, one worker per usable CPU; None where only one CPU is usable."""
+    global _pool
+    with _pool_lock:
+        if _pool is None and (cpus := _usable_cpus()) > 1:
+            _pool = ThreadPoolExecutor(cpus, thread_name_prefix="mirrorwave-profile")
+        return _pool
+
+
+def _forget_pool() -> None:
+    # a forked child inherits the pool but not its threads, so work put on it
+    # would never run; the child makes its own pool when it needs one
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
 
 
 def _psi(scenario: Scenario, x):
@@ -106,14 +147,29 @@ def profile(scenario: Scenario, xs) -> DensityProfile:
     The forbidden region beyond a moving mirror reports density zero.
     The grid passes ``DensityProfile``'s checks before any evaluation.
     The wavefunction runs over consecutive blocks of ``_BLOCK`` points, whose
-    ~20 temporaries stay in L2 over every pass of the w(z) series, and only
-    |psi|**2 of a block is kept; the wavefunctions are elementwise, so the
-    densities do not depend on ``_BLOCK``.
+    temporaries stay in L2 over each pass of the w(z) series, and only
+    |psi|**2 of a block is kept.  A grid of more than one block runs its
+    blocks on a thread pool with one worker per CPU the process may use; a
+    single block, or a process with one usable CPU, runs on the calling
+    thread.  The blocks run under the caller's numpy floating-point error
+    state, and an error in a block raises as it would in a serial loop over
+    the blocks.  The wavefunctions are elementwise, so the densities depend
+    neither on ``_BLOCK`` nor on the thread count.
     """
     xs = _grid(xs)
     dens = np.empty(xs.shape)
-    for lo in range(0, xs.size, _BLOCK):
-        dens[lo : lo + _BLOCK] = np.abs(_psi(scenario, xs[lo : lo + _BLOCK])) ** 2
+    # np.errstate is per thread; the workers take the caller's
+    err = np.geterr()
+
+    def fill(lo):
+        with np.errstate(**err):
+            dens[lo : lo + _BLOCK] = np.abs(_psi(scenario, xs[lo : lo + _BLOCK])) ** 2
+
+    starts = range(0, xs.size, _BLOCK)
+    pool = _block_pool() if len(starts) > 1 else None
+    # map yields in block order, so the first failing block raises, as in a loop
+    for _ in (map if pool is None else pool.map)(fill, starts):
+        pass
     return DensityProfile(scenario, xs, dens)
 
 

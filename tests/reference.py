@@ -10,7 +10,8 @@ with closed-form and factored equivalents, the grid oracle's default box
 rule from before its taper, its initial state in 30 digits, the half-line
 Fresnel integral of the quadrature tail in 40 digits, and the w(z) series
 loops on numpy-scalar coefficients that the package's 0-d coefficient
-arrays replace.  It also holds helpers only the tests use: erfc of a
+arrays replace, and the serial loop over ``analysis.profile``'s blocks
+that its thread pool replaces.  It also holds helpers only the tests use: erfc of a
 complex argument built on the package's Faddeeva kernel, the scaled
 Moshinsky argument z and the large-|z| expansion of M, the grid-oracle
 refinement step of convergence studies, and the 64-bit words of complex
@@ -25,6 +26,7 @@ import numpy as np
 from scipy.fft import dst, idst
 from scipy.special import erfc
 
+from mirrorwave import analysis
 from mirrorwave.oracle import default_config
 from mirrorwave.physics import MirrorKind
 from mirrorwave.specialfn import (
@@ -414,3 +416,13 @@ def refine(config, factor: int = 2):
         grid_points=config.grid_points * factor,
         time_step=config.time_step / factor,
     )
+
+
+def profile_serial(scenario, xs):
+    """|psi|**2 of ``analysis.profile``, one block after another on the calling thread."""
+    xs = np.asarray(xs, dtype=float)
+    dens = np.empty(xs.shape)
+    n = analysis._BLOCK
+    for lo in range(0, xs.size, n):
+        dens[lo : lo + n] = np.abs(analysis._psi(scenario, xs[lo : lo + n])) ** 2
+    return dens

@@ -1,4 +1,10 @@
+import multiprocessing
+import os
+import sys
+import threading
+import time
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -20,6 +26,8 @@ from mirrorwave.analysis import (
 )
 from mirrorwave.physics import MirrorLaw, PhysicalContext, Scenario
 from mirrorwave.waves import moshinsky_m, psi_near_limit, psi_sudden
+
+from .reference import bits, profile_serial
 
 CTX = PhysicalContext()
 K1 = CTX.wavenumber(0.01)
@@ -101,6 +109,141 @@ class TestDensityProfile:
         xs = np.linspace(-320e-6, -260e-6, 400)
         p = profile(s, xs)
         assert np.abs(p.densities - 4 * np.sin(K1 * xs) ** 2).max() < 0.06
+
+
+def _block_scenario(law):
+    return Scenario(CTX, K1, law, 10e-3)
+
+
+def _block_grid(n):
+    # across the front and the mirror of every law below (v_k t = 1e-4 m)
+    return np.linspace(-1.5e-4, 1.2e-4, n)
+
+
+BLOCK_LAWS = {
+    "sudden": MirrorLaw.sudden_removal(),
+    "slow": MirrorLaw.moving(0.005),
+    "fast": MirrorLaw.moving(0.013),
+    "static": MirrorLaw.static(),
+}
+B = analysis._BLOCK
+
+
+class TestBlockThreads:
+    """``profile`` spreads its blocks over the process's usable CPUs; its
+    densities are those of a serial loop over the blocks, bit for bit.  CI
+    also runs this class on one CPU, where the blocks run on the caller."""
+
+    @pytest.mark.parametrize("n", [1, B - 1, B, B + 1, 3 * B + 17])
+    @pytest.mark.parametrize("law", BLOCK_LAWS, ids=str)
+    def test_bitwise_equal_to_serial_blocks(self, law, n):
+        s = _block_scenario(BLOCK_LAWS[law])
+        xs = _block_grid(n)
+        assert np.array_equal(bits(profile(s, xs).densities), bits(profile_serial(s, xs)))
+
+    def test_last_block_error_raises_serial_message(self):
+        # k x overflows only at the last point, which sits alone in the last block
+        s = _block_scenario(MirrorLaw.static())
+        xs = np.append(np.linspace(-1e-4, 0.0, 2 * B), 0.5 * np.finfo(float).max)
+        with pytest.raises(ValueError) as serial:
+            profile_serial(s, xs)
+        with pytest.raises(ValueError) as threaded:
+            profile(s, xs)
+        assert "not a finite float64" in str(serial.value)
+        assert str(threaded.value) == str(serial.value)
+
+    def test_blocks_take_the_callers_errstate(self, monkeypatch):
+        def underflow(scenario, x):
+            return np.full(x.shape, 1e-300) * 1e-300
+
+        monkeypatch.setattr(analysis, "_psi", underflow)
+        s = _block_scenario(MirrorLaw.static())
+        with np.errstate(under="raise"), pytest.raises(FloatingPointError):
+            profile(s, _block_grid(2 * B))
+
+    def test_blocks_run_on_the_pool_or_inline_on_one_cpu(self, monkeypatch):
+        psi, threads = analysis._psi, []
+
+        def spy(scenario, x):
+            threads.append(threading.get_ident())
+            return psi(scenario, x)
+
+        monkeypatch.setattr(analysis, "_psi", spy)
+        s = _block_scenario(MirrorLaw.sudden_removal())
+        profile(s, _block_grid(B))
+        assert threads == [threading.get_ident()]
+        threads.clear()
+        profile(s, _block_grid(3 * B))
+        assert len(threads) == 3
+        on_caller = [ident == threading.get_ident() for ident in threads]
+        assert all(on_caller) if analysis._usable_cpus() == 1 else not any(on_caller)
+
+    def test_usable_cpus_falls_back_to_cpu_count(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert analysis._usable_cpus() == 3
+
+    def test_concurrent_callers_each_get_the_serial_result(self, monkeypatch):
+        # more callers than CPUs race to make the pool, then share it
+        made = []
+
+        class CountedPool(ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                made.append(self)
+                # hold the window between the None check and the assignment
+                # open, so that callers without the lock would each make one
+                time.sleep(0.01)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(analysis, "_pool", None)
+        monkeypatch.setattr(analysis, "ThreadPoolExecutor", CountedPool)
+        scenarios = [_block_scenario(law) for law in BLOCK_LAWS.values()]
+        xs = _block_grid(3 * B + 17)
+        start = threading.Barrier(len(scenarios))
+        results = [None] * len(scenarios)
+
+        def run(i):
+            start.wait(timeout=60)
+            results[i] = profile(scenarios[i], xs).densities
+
+        callers = [threading.Thread(target=run, args=(i,)) for i in range(len(scenarios))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=60)
+                assert not caller.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+            for pool in made:
+                pool.shutdown()
+        assert len(made) == (analysis._usable_cpus() > 1)
+        for s, dens in zip(scenarios, results):
+            assert dens is not None and np.array_equal(bits(dens), bits(profile_serial(s, xs)))
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    # Python 3.12 warns on any fork of a process with threads; this test forks one on purpose
+    @pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
+    def test_forked_child_profiles_after_the_parent_pool(self):
+        # the parent's pool exists (on more than one CPU) before the fork; the
+        # child's profile must not wait on that pool's threads, which it lacks
+        s = _block_scenario(MirrorLaw.sudden_removal())
+        xs = _block_grid(2 * B)
+        expected = profile(s, xs).densities
+
+        def child():
+            os._exit(0 if np.array_equal(bits(profile(s, xs).densities), bits(expected)) else 1)
+
+        proc = multiprocessing.get_context("fork").Process(target=child)
+        proc.start()
+        proc.join(timeout=60)
+        alive = proc.is_alive()
+        if alive:
+            proc.kill()
+            proc.join()
+        assert not alive and proc.exitcode == 0
 
 
 class TestMainFringe:
